@@ -11,8 +11,8 @@
 //
 // A telemetry section runs one batch with the metrics subsystem enabled and
 // folds a per-phase breakdown plus cache/memo hit rates (global and
-// per-slot) and the piece-evaluation ladder split (static fold / compiled
-// bytecode / tree-walk fallback) into the JSON; its gates assert span
+// per-slot) and the piece-evaluation ladder split (fold / tree-walk
+// fallback) into the JSON; its gates assert span
 // balance (opens == closes), parse-cache counter reconciliation, self-time
 // partition of the pipeline total, that telemetry left off costs nothing
 // measurable, that the ladder accounts for every piece execution (with the
@@ -221,16 +221,14 @@ struct TelemetrySummary {
   // window where the ladder resolves work; on a warm engine every piece is
   // a global-memo hit. Every piece execution is either a memo hit or
   // resolved by exactly one ladder stage, so piece_execs == piece_memo_hits
-  // + folds + bytecode_execs + treewalk_fallbacks (gate 8).
+  // + folds + treewalk_fallbacks (gate 8).
   std::uint64_t piece_execs = 0;
   std::uint64_t piece_memo_hits = 0;
   std::uint64_t folds = 0;
-  std::uint64_t bytecode_execs = 0;
   std::uint64_t treewalk_fallbacks = 0;
   double fold_rate = 0.0;  ///< folds / memo-miss executions
   // Per-stage piece_eval latency split (ideobf_piece_eval_seconds{stage=}).
   double fold_seconds = 0.0;
-  double vm_seconds = 0.0;
   double fallback_seconds = 0.0;
   double accounted_seconds = 0.0;  ///< sum of per-phase self times
   double pipeline_seconds = 0.0;   ///< sum of Pipeline-span wall times
@@ -247,7 +245,7 @@ TelemetrySummary run_telemetry_section(
 
   // Cold window: the prime run of this fresh engine is where the
   // piece-evaluation ladder actually resolves work — on a warm engine every
-  // piece is a global-memo hit and fold/vm/fallback never fire — so the
+  // piece is a global-memo hit and fold/fallback never fire — so the
   // ladder counters and per-stage latency split are captured here, before
   // the registry is reset for the warm-batch window below. The per-script
   // profiles are merged into the section's phase breakdown: Lex and Parse
@@ -270,20 +268,15 @@ TelemetrySummary run_telemetry_section(
     ts.piece_memo_hits =
         reg.counter("ideobf_recovery_piece_memo_hit_total").value();
     ts.folds = reg.counter("ideobf_recovery_fold_total").value();
-    ts.bytecode_execs =
-        reg.counter("ideobf_recovery_bytecode_exec_total").value();
     ts.treewalk_fallbacks =
         reg.counter("ideobf_recovery_treewalk_fallback_total").value();
-    const std::uint64_t ladder_misses =
-        ts.folds + ts.bytecode_execs + ts.treewalk_fallbacks;
+    const std::uint64_t ladder_misses = ts.folds + ts.treewalk_fallbacks;
     ts.fold_rate = ladder_misses == 0
                        ? 0.0
                        : static_cast<double>(ts.folds) / ladder_misses;
     ts.fold_seconds =
         reg.histogram("ideobf_piece_eval_seconds", "stage=\"fold\"")
             .sum_seconds();
-    ts.vm_seconds = reg.histogram("ideobf_piece_eval_seconds", "stage=\"vm\"")
-                        .sum_seconds();
     ts.fallback_seconds =
         reg.histogram("ideobf_piece_eval_seconds", "stage=\"fallback\"")
             .sum_seconds();
@@ -1184,14 +1177,13 @@ std::string rows_to_json(const std::vector<Row>& rows, std::size_t corpus,
   w.begin_array("recovery_memo_hit_rate_per_slot");
   for (const double rate : ts.per_slot_hit_rates) w.value(rate);
   w.end_array();
-  // Piece-evaluation ladder: how memo misses were resolved (static fold /
-  // compiled bytecode / tree-walk fallback) and what each stage cost.
+  // Piece-evaluation ladder: how memo misses were resolved (fold /
+  // tree-walk fallback) and what each stage cost.
   w.field("piece_exec_count", static_cast<std::int64_t>(ts.piece_execs));
   w.field("piece_memo_hit_count",
           static_cast<std::int64_t>(ts.piece_memo_hits));
   w.field("fold_count", static_cast<std::int64_t>(ts.folds));
   w.field("fold_rate", ts.fold_rate);
-  w.field("bytecode_exec_count", static_cast<std::int64_t>(ts.bytecode_execs));
   w.field("treewalk_fallback_count",
           static_cast<std::int64_t>(ts.treewalk_fallbacks));
   w.key("piece_eval");
@@ -1200,11 +1192,6 @@ std::string rows_to_json(const std::vector<Row>& rows, std::size_t corpus,
   w.begin_object();
   w.field("count", static_cast<std::int64_t>(ts.folds));
   w.field("self_seconds", ts.fold_seconds);
-  w.end_object();
-  w.key("vm");
-  w.begin_object();
-  w.field("count", static_cast<std::int64_t>(ts.bytecode_execs));
-  w.field("self_seconds", ts.vm_seconds);
   w.end_object();
   w.key("fallback");
   w.begin_object();
@@ -1457,16 +1444,13 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   std::printf("\n");
   std::printf(
       "piece-eval ladder (cold run): %llu execs = %llu memo hits + %llu "
-      "folds + %llu bytecode + %llu tree-walk (fold rate %.3f of misses)\n",
+      "folds + %llu tree-walk (fold rate %.3f of misses)\n",
       static_cast<unsigned long long>(ts.piece_execs),
       static_cast<unsigned long long>(ts.piece_memo_hits),
       static_cast<unsigned long long>(ts.folds),
-      static_cast<unsigned long long>(ts.bytecode_execs),
       static_cast<unsigned long long>(ts.treewalk_fallbacks), ts.fold_rate);
-  std::printf(
-      "piece-eval split: fold %.3f ms, vm %.3f ms, fallback %.3f ms\n",
-      ts.fold_seconds * 1000.0, ts.vm_seconds * 1000.0,
-      ts.fallback_seconds * 1000.0);
+  std::printf("piece-eval split: fold %.3f ms, fallback %.3f ms\n",
+              ts.fold_seconds * 1000.0, ts.fallback_seconds * 1000.0);
   std::printf("phase breakdown (self-time over enabled batch, wall %.3fs):\n",
               ts.batch_wall_seconds);
   for (std::size_t i = 0; i < tel::kPhaseCount; ++i) {
@@ -1700,16 +1684,14 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   // fold stage must have fired. Count/identity-based, so it runs under
   // sanitizers too.
   if (ts.piece_execs == 0 ||
-      ts.piece_execs != ts.piece_memo_hits + ts.folds + ts.bytecode_execs +
-                            ts.treewalk_fallbacks) {
+      ts.piece_execs !=
+          ts.piece_memo_hits + ts.folds + ts.treewalk_fallbacks) {
     std::fprintf(stderr,
                  "FAIL: piece-eval ladder does not account for every "
-                 "execution: execs=%llu hits=%llu folds=%llu bytecode=%llu "
-                 "tree-walk=%llu\n",
+                 "execution: execs=%llu hits=%llu folds=%llu tree-walk=%llu\n",
                  static_cast<unsigned long long>(ts.piece_execs),
                  static_cast<unsigned long long>(ts.piece_memo_hits),
                  static_cast<unsigned long long>(ts.folds),
-                 static_cast<unsigned long long>(ts.bytecode_execs),
                  static_cast<unsigned long long>(ts.treewalk_fallbacks));
     rc = 1;
   }
@@ -1806,7 +1788,7 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   }
 
   // Acceptance gate 10 (non-sanitized): warm per-script latency. The
-  // fold/bytecode/global-memo ladder must keep the warm serial pipeline at
+  // fold/global-memo ladder must keep the warm serial pipeline at
   // least 2x faster than the 0.80 ms/script the pre-ladder tree-walk
   // measured on this corpus. Wall-clock-based, so skipped under sanitizers.
   if (IDEOBF_SANITIZED) {

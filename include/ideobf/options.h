@@ -7,8 +7,8 @@
 /// execution) — plus ad-hoc bench flags. They are collapsed here into a
 /// single `ideobf::Options` with nested `Limits` / `Telemetry` / `Recovery`
 /// sections, consumed identically by the one-shot path, the batch command,
-/// `ideobf serve`, and the bench harness. The old struct names survive for
-/// one release as thin deprecated aliases (migration table: docs/API.md).
+/// `ideobf serve`, and the bench harness. The old struct names no longer
+/// exist; docs/API.md maps each old field to its `Options` home.
 ///
 /// Part of the stable `include/ideobf/` facade: includes only other facade
 /// headers and the standard library; internal engine types appear only as

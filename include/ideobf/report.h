@@ -31,9 +31,11 @@ struct RecoveryStats {
   int pieces_failed = 0;          ///< piece/assignment executions that errored
   int memo_hits = 0;              ///< piece executions answered by the memo
   int memo_misses = 0;            ///< memo lookups that had to execute
-  int pieces_folded = 0;          ///< memo misses folded statically (pure chunks)
-  int bytecode_execs = 0;         ///< memo misses run as compiled bytecode
-  int treewalk_fallbacks = 0;     ///< memo misses tree-walked (uncompilable)
+  int pieces_folded = 0;          ///< memo misses folded (pure pieces)
+  /// Always 0: the piece-eval ladder has no bytecode rung any more. Kept so
+  /// readers of the report keep compiling.
+  int bytecode_execs = 0;
+  int treewalk_fallbacks = 0;     ///< memo misses tree-walked (impure pieces)
   /// Most severe per-piece failure seen (failure_severity order); the
   /// governor surfaces it as the item classification when nothing worse
   /// aborted the run.

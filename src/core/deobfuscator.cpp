@@ -28,7 +28,6 @@ void merge(RecoveryStats& into, const RecoveryStats& from) {
   into.memo_hits += from.memo_hits;
   into.memo_misses += from.memo_misses;
   into.pieces_folded += from.pieces_folded;
-  into.bytecode_execs += from.bytecode_execs;
   into.treewalk_fallbacks += from.treewalk_fallbacks;
   into.worst_failure = ps::worse_failure(into.worst_failure, from.worst_failure);
 }

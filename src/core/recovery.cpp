@@ -12,7 +12,6 @@
 #include "pslang/alias_table.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
-#include "psinterp/bytecode.h"
 #include "psinterp/interpreter.h"
 #include "telemetry/telemetry.h"
 
@@ -37,10 +36,9 @@ telemetry::Counter& memo_miss_counter() {
 }
 
 // Per-stage counters of the piece-evaluation ladder. Every execute_piece
-// entry lands in exactly one of: a memo hit, a fold (pure chunk on the
-// shared fold interpreter), a bytecode exec (chunk on a seeded
-// interpreter), or a tree-walk fallback — the identity the bench smoke
-// gate asserts.
+// entry lands in exactly one of: a memo hit, a fold (pure piece on the
+// shared fold interpreter), or a tree-walk fallback (seeded interpreter) —
+// the identity the bench smoke gate asserts.
 telemetry::Counter& piece_exec_counter() {
   static auto& c =
       telemetry::registry().counter("ideobf_recovery_piece_exec_total");
@@ -55,35 +53,15 @@ telemetry::Counter& fold_counter() {
   static auto& c = telemetry::registry().counter("ideobf_recovery_fold_total");
   return c;
 }
-telemetry::Counter& bytecode_exec_counter() {
-  static auto& c =
-      telemetry::registry().counter("ideobf_recovery_bytecode_exec_total");
-  return c;
-}
 telemetry::Counter& treewalk_fallback_counter() {
   static auto& c = telemetry::registry().counter(
       "ideobf_recovery_treewalk_fallback_total");
-  return c;
-}
-telemetry::Counter& compile_counter() {
-  static auto& c =
-      telemetry::registry().counter("ideobf_recovery_compile_total");
-  return c;
-}
-telemetry::Counter& chunk_hit_counter() {
-  static auto& c =
-      telemetry::registry().counter("ideobf_recovery_chunk_hit_total");
   return c;
 }
 
 telemetry::Histogram& fold_histogram() {
   static auto& h = telemetry::registry().histogram("ideobf_piece_eval_seconds",
                                                    "stage=\"fold\"");
-  return h;
-}
-telemetry::Histogram& vm_histogram() {
-  static auto& h = telemetry::registry().histogram("ideobf_piece_eval_seconds",
-                                                   "stage=\"vm\"");
   return h;
 }
 telemetry::Histogram& fallback_histogram() {
@@ -222,11 +200,9 @@ class Reconstructor {
  public:
   Reconstructor(std::string_view src, const RecoveryOptions& options,
                 RecoveryStats& stats, TraceSink* trace,
-                ps::ParseCache* cache = nullptr,
-                const ps::ParsedScript* parsed = nullptr)
+                ps::ParseCache* cache = nullptr)
       : src_(src), options_(options), stats_(stats), trace_(trace),
-        cache_(cache),
-        arena_(parsed != nullptr ? parsed->arena().get() : nullptr) {
+        cache_(cache) {
     scope_path_.push_back(0);
   }
 
@@ -243,25 +219,18 @@ class Reconstructor {
   RecoveryStats& stats_;
   TraceSink* trace_;
   ps::ParseCache* cache_;  ///< shared parse cache for piece interpreters
-  ps::Arena* arena_;  ///< arena of the parse being walked (chunk cache home)
   std::map<std::string, VarInfo> table_;  ///< S_v and S_c of Algorithm 1
   std::vector<std::string> function_defs_;  ///< trace_functions extension
   std::vector<int> scope_path_;
   int scope_counter_ = 0;
   int conditional_depth_ = 0;
-  /// Shared interpreter for the fold stage: pure chunks cannot observe
+  /// Shared interpreter for the fold stage: pure pieces cannot observe
   /// interpreter state, so one table-free strict interpreter (built lazily,
   /// steps reset per piece) serves every fold in the pass — no per-piece
   /// construction, no table seeding, no function-definition replay.
   std::unique_ptr<ps::Interpreter> fold_interp_;
   /// Cached limits-only memo context for pure pieces (lazy; 0 = unset).
   mutable std::size_t pure_ctx_ = 0;
-
-  /// Context salt for pure-chunk memo entries: their results depend only on
-  /// the piece text and the execution limits (which gate how a piece may
-  /// *fail*), never on the traced-variable table — so all scripts, slots,
-  /// and sessions share one entry per piece under this fixed context.
-  static constexpr std::size_t kPureContext = 0x517cc1b727220a95ull;
 
   /// Context salt for environment-variable probes: their evaluation uses a
   /// fresh table-free interpreter, so their memo entries must not collide
@@ -351,7 +320,7 @@ class Reconstructor {
 
   /// The fold-stage interpreter: same limits/blocklist/budget as
   /// make_interpreter() but with no table seeding and no function replay —
-  /// pure chunks can't read either. Reused across every fold of the pass.
+  /// pure pieces can't read either. Reused across every fold of the pass.
   ps::Interpreter& fold_interpreter() {
     if (fold_interp_ == nullptr) {
       ps::InterpreterOptions opts;
@@ -366,7 +335,7 @@ class Reconstructor {
     return *fold_interp_;
   }
 
-  /// Memo context for pure chunks: the execution limits only (they decide
+  /// Memo context for pure pieces: the execution limits only (they decide
   /// how a piece may fail, and failures are memoized), under a fixed salt
   /// so entries never collide with table-fingerprinted contexts. Cached —
   /// unlike context_fingerprint() this never rescans the table.
@@ -378,7 +347,7 @@ class Reconstructor {
 
   /// The single statement of a parsed piece, or null when the piece is not
   /// exactly one statement (then evaluate_script semantics — multiple
-  /// statements, param blocks — are beyond a single compiled chunk).
+  /// statements, param blocks — are beyond a single folded node).
   static const Ast* single_statement(const ps::ScriptBlockAst& root) {
     if (root.param_block != nullptr) return nullptr;
     const Ast* found = nullptr;
@@ -391,50 +360,21 @@ class Reconstructor {
     return found;
   }
 
-  /// Finds (or compiles and caches) the bytecode chunk for a piece. The
-  /// chunk is annotated onto the arena that owns the node it was compiled
-  /// from — the walked script's arena for verbatim pieces, the parse
-  /// cache's arena for rewritten text — so it is compiled once per node and
-  /// torn down with the tree. Returns null when the piece is uncompilable
-  /// (the negative result is cached too, as an empty chunk).
-  std::shared_ptr<const ps::bytecode::Chunk> find_or_compile_chunk(
-      const std::string& text, const Ast* node) {
-    const Ast* key = nullptr;
-    ps::Arena* arena = nullptr;
-    ps::ParsedScript pinned;  // keeps a cache-owned arena alive while used
+  /// The node to fold when the piece is pure, else null. A verbatim piece
+  /// is classified by its own subtree (evaluated against src_); text
+  /// rewritten by child substitutions by the single statement of its cached
+  /// parse, pinned in `parsed` (evaluated against the text itself). Without
+  /// a parse cache rewritten text is never folded.
+  const Ast* pure_root(const std::string& text, const Ast* node,
+                       ps::ParsedScript& parsed) const {
+    const Ast* root = nullptr;
     if (node != nullptr && matches_source(*node, text)) {
-      key = node;
-      arena = arena_;
+      root = node;
     } else if (cache_ != nullptr) {
-      ps::ParseCache::Result parsed = cache_->get(text);
-      if (parsed.ast == nullptr) return nullptr;
-      key = single_statement(*parsed.ast);
-      if (key == nullptr) return nullptr;
-      arena = parsed.ast.arena().get();
-      pinned = std::move(parsed.ast);
-    } else {
-      return nullptr;
+      parsed = cache_->get(text).ast;
+      if (parsed != nullptr) root = single_statement(*parsed);
     }
-    if (arena != nullptr) {
-      if (std::shared_ptr<void> found = arena->find_annotation(key)) {
-        chunk_hit_counter().add();
-        auto chunk = std::static_pointer_cast<ps::bytecode::Chunk>(found);
-        return chunk->valid() ? chunk : nullptr;
-      }
-    }
-    compile_counter().add();
-    std::shared_ptr<ps::bytecode::Chunk> chunk =
-        ps::bytecode::compile_piece(*key);
-    if (arena == nullptr) return chunk;
-    // An empty (invalid) chunk caches "uncompilable" so hot fallback pieces
-    // are classified once. store_annotation keeps the first writer's chunk
-    // on a race; use whatever it kept.
-    auto kept = std::static_pointer_cast<ps::bytecode::Chunk>(
-        arena->store_annotation(
-            key, chunk != nullptr
-                     ? std::shared_ptr<void>(std::move(chunk))
-                     : std::make_shared<ps::bytecode::Chunk>()));
-    return kept->valid() ? kept : nullptr;
+    return root != nullptr && is_pure_piece(*root) ? root : nullptr;
   }
 
   /// Splices the reconstructed children into the node's original text.
@@ -661,17 +601,15 @@ class Reconstructor {
     return text;
   }
 
-  /// Executes a piece through the three-stage evaluation ladder:
+  /// Executes a piece through the two-rung evaluation ladder:
   ///
-  ///   1. resolve (or compile once, cached on the owning arena) the piece's
-  ///      bytecode chunk;
-  ///   2. consult the memo — pure chunks under the cached limits-only
+  ///   1. classify the piece with is_pure_piece();
+  ///   2. consult the memo — pure pieces under the cached limits-only
   ///      context (so one entry serves every script, slot, and session),
   ///      everything else under the traced-table fingerprint;
-  ///   3. on a miss, evaluate: *fold* pure chunks on the shared table-free
-  ///      interpreter, run impure chunks on a freshly seeded interpreter
-  ///      (*vm*), and tree-walk anything the compiler rejected
-  ///      (*fallback*) — semantics preserved by construction.
+  ///   3. on a miss, evaluate: *fold* pure pieces by tree-walking them on
+  ///      the shared table-free interpreter, and tree-walk everything else
+  ///      on a freshly seeded interpreter (*fallback*).
   ///
   /// The returned literal is "" when the piece stays as-is (failed
   /// execution, no literal form, or no progress).
@@ -686,15 +624,15 @@ class Reconstructor {
     if (options_.fault != nullptr) {
       options_.fault->inject(FaultSite::PieceExecution);
     }
-    const std::shared_ptr<const ps::bytecode::Chunk> chunk =
-        find_or_compile_chunk(text, node);
-    const bool pure = chunk != nullptr && chunk->pure;
+    ps::ParsedScript parsed;  // pins a rewritten piece's cached parse
+    const Ast* const pure = pure_root(text, node, parsed);
     std::size_t ctx = 0;
     if (options_.memo != nullptr) {
       if (options_.fault != nullptr) {
         options_.fault->inject(FaultSite::MemoLookup);
       }
-      ctx = pure ? pure_context_fingerprint() : context_fingerprint();
+      ctx = pure != nullptr ? pure_context_fingerprint()
+                            : context_fingerprint();
       if (const std::optional<std::string> hit =
               options_.memo->lookup(ctx, text)) {
         stats_.memo_hits++;
@@ -705,8 +643,8 @@ class Reconstructor {
     }
     std::string literal;
     // Observe stage latency on scope exit so throwing evaluations (the
-    // common case for hostile pieces — every failed vm run used to report
-    // self_seconds=0) still charge their elapsed nanoseconds to the stage.
+    // common case for hostile pieces) still charge their elapsed
+    // nanoseconds to the stage.
     struct StageTimer {
       telemetry::Histogram* hist = nullptr;
       std::uint64_t t0 = 0;
@@ -724,20 +662,15 @@ class Reconstructor {
     const bool timed = telemetry::enabled();
     try {
       Value result;
-      if (pure) {
+      if (pure != nullptr) {
         stats_.pieces_folded++;
         fold_counter().add();
         if (timed) timer.start(fold_histogram());
         ps::Interpreter& interp = fold_interpreter();
         // A fresh step allowance per piece, as a fresh interpreter has.
         interp.reset_steps();
-        result = ps::bytecode::run_chunk(*chunk, interp);
-      } else if (chunk != nullptr) {
-        stats_.bytecode_execs++;
-        bytecode_exec_counter().add();
-        if (timed) timer.start(vm_histogram());
-        auto interp = make_interpreter();
-        result = ps::bytecode::run_chunk(*chunk, *interp);
+        result = interp.evaluate(
+            *pure, pure == node ? src_ : std::string_view(text));
       } else {
         stats_.treewalk_fallbacks++;
         treewalk_fallback_counter().add();
@@ -796,11 +729,103 @@ class Reconstructor {
   }
 };
 
+/// Automatic variables whose values are hard constants in the interpreter:
+/// they short-circuit before any table/scope lookup, so reading them cannot
+/// observe interpreter state.
+bool is_constant_variable(const ps::VariableExpressionAst& var) {
+  if (!var.scope_qualifier().empty()) return false;
+  const std::string bare = var.bare_name();
+  return bare == "true" || bare == "false" || bare == "null" ||
+         bare == "pshome" || bare == "psscriptroot" || bare == "shellid" ||
+         bare == "home" || bare == "pwd";
+}
+
+/// Unary operators that only transform their operand's value (`++`/`--`
+/// mutate a variable instead).
+bool is_value_unary_op(const std::string& op) {
+  return op == "-" || op == "+" || op == "!" || op == "-not" ||
+         op == "-bnot" || op == "-join" || op == "-split" || op == ",";
+}
+
+/// A pipeline of exactly one expression element (no commands).
+bool is_pure_lone_pipeline(const ps::PipelineAst& pipe) {
+  if (pipe.elements.size() != 1) return false;
+  const Ast& el = *pipe.elements[0];
+  return el.kind() == NodeKind::CommandExpression &&
+         is_pure_piece(*static_cast<const ps::CommandExpressionAst&>(el)
+                           .expression);
+}
+
+/// The body of a paren/sub/array expression: one lone-expression pipeline.
+bool is_pure_lone_statement(const Ast& stmt) {
+  return stmt.kind() == NodeKind::Pipeline &&
+         is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(stmt));
+}
+
+bool is_pure_statements(const std::vector<ps::AstPtr>& statements) {
+  return statements.empty() ||
+         (statements.size() == 1 && is_pure_lone_statement(*statements[0]));
+}
+
 }  // namespace
 
+bool is_pure_piece(const Ast& node) {
+  switch (node.kind()) {
+    case NodeKind::ConstantExpression:
+    case NodeKind::StringConstantExpression:
+    case NodeKind::TypeExpression:
+      return true;
+    case NodeKind::ExpandableStringExpression:
+      // A `$` may read a variable or run a `$(...)` subexpression.
+      return static_cast<const ps::ExpandableStringExpressionAst&>(node)
+                 .raw.find('$') == std::string::npos;
+    case NodeKind::VariableExpression:
+      return is_constant_variable(
+          static_cast<const ps::VariableExpressionAst&>(node));
+    case NodeKind::BinaryExpression: {
+      const auto& bin = static_cast<const ps::BinaryExpressionAst&>(node);
+      return is_pure_piece(*bin.left) && is_pure_piece(*bin.right);
+    }
+    case NodeKind::UnaryExpression: {
+      const auto& un = static_cast<const ps::UnaryExpressionAst&>(node);
+      return is_value_unary_op(un.op) && is_pure_piece(*un.child);
+    }
+    case NodeKind::ConvertExpression:
+      return is_pure_piece(
+          *static_cast<const ps::ConvertExpressionAst&>(node).child);
+    case NodeKind::IndexExpression: {
+      const auto& idx = static_cast<const ps::IndexExpressionAst&>(node);
+      return is_pure_piece(*idx.target) && is_pure_piece(*idx.index);
+    }
+    case NodeKind::ArrayLiteral:
+      for (const auto& el :
+           static_cast<const ps::ArrayLiteralAst&>(node).elements) {
+        if (!is_pure_piece(*el)) return false;
+      }
+      return true;
+    case NodeKind::ParenExpression:
+      return is_pure_lone_statement(
+          *static_cast<const ps::ParenExpressionAst&>(node).pipeline);
+    case NodeKind::SubExpression:
+      return is_pure_statements(
+          static_cast<const ps::SubExpressionAst&>(node).statements);
+    case NodeKind::ArrayExpression:
+      return is_pure_statements(
+          static_cast<const ps::ArrayExpressionAst&>(node).statements);
+    case NodeKind::Pipeline:
+      return is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(node));
+    default:
+      // Commands (where the blocklist applies), member access, invocation,
+      // hashtables, script blocks, assignments.
+      return false;
+  }
+}
+
 std::size_t pure_memo_context(const RecoveryOptions& options) {
-  // Must stay in lockstep with Reconstructor::kPureContext: pure-chunk memo
-  // entries written before this helper existed carry the same fingerprints.
+  // Pure-piece results depend only on the piece text and the execution
+  // limits (which gate how a piece may *fail*), never on the traced-variable
+  // table — so all scripts, slots, and sessions share one entry per piece
+  // under this fixed salt. Its value is pinned: it keys every pure entry.
   constexpr std::size_t kPureContextSalt = 0x517cc1b727220a95ull;
   std::size_t h =
       14695981039346656037ull ^ kPureContextSalt ^ options.language_salt;
@@ -825,7 +850,7 @@ std::string recovery_pass(std::string_view script,
   if (parsed == nullptr) return std::string(script);
   telemetry::PhaseSpan span(telemetry::Phase::Recovery);
   RecoveryStats local;
-  Reconstructor rec(script, options, local, trace, cache, &parsed);
+  Reconstructor rec(script, options, local, trace, cache);
   std::string out = rec.run(*parsed);
   if (stats != nullptr) *stats = local;
   // An unchanged result is the (already parsed) input; anything else must

@@ -22,6 +22,7 @@
 #include "psvalue/value.h"
 
 namespace ps {
+class Ast;
 class Budget;
 class ParseCache;
 class ParsedScript;
@@ -138,6 +139,19 @@ struct RecoveryOptions {
 /// (distinct salts). Always odd — 0 is RecoveryMemo's "unset" sentinel.
 [[nodiscard]] std::size_t pure_memo_context(const RecoveryOptions& options);
 
+/// True when evaluating `root` (a recoverable piece, or the single statement
+/// of a rewritten piece's parse) cannot observe interpreter state, so it
+/// folds on a shared table-free interpreter under pure_memo_context. Pure
+/// pieces are built only from constants, type literals, `$`-free
+/// expandable strings, the constant automatic variables ($true, $false,
+/// $null, $pshome, $psscriptroot, $shellid, $home, $pwd), binary operators,
+/// the value unary operators (`-` `+` `!` `-not` `-bnot` `-join` `-split`
+/// `,`), casts, indexing, array literals, and paren/sub/array expressions
+/// or pipelines holding one lone expression. Commands (where the blocklist
+/// applies), member access, assignments, `++`/`--`, hashtables, script
+/// blocks, and every other variable read are impure.
+[[nodiscard]] bool is_pure_piece(const ps::Ast& root);
+
 /// Runs one recovery pass. Returns the input unchanged when it does not
 /// parse (the caller's per-step syntax check handles rollback).
 std::string recovery_pass(std::string_view script, const RecoveryOptions& options,
@@ -145,11 +159,10 @@ std::string recovery_pass(std::string_view script, const RecoveryOptions& option
                           TraceSink* trace = nullptr);
 
 /// Parse-once overload: runs the pass over an already-parsed handle of
-/// `script` (extents must index into `script`). The parse's arena doubles
-/// as the piece-bytecode cache: chunks compiled for recoverable nodes are
-/// annotated onto it and live exactly as long as the tree. The output
-/// syntax check goes through `cache` when provided, so the caller's
-/// subsequent parse of the result is a cache hit.
+/// `script` (extents must index into `script`), so unrewritten pieces can
+/// evaluate from their own subtrees without a re-parse. The output syntax
+/// check goes through `cache` when provided, so the caller's subsequent
+/// parse of the result is a cache hit.
 std::string recovery_pass(std::string_view script,
                           const ps::ParsedScript& parsed,
                           const RecoveryOptions& options,

@@ -17,8 +17,8 @@
 ///     case / aliases for PowerShell; bracket-member rewriting for JS);
 ///   - recoverable-node classifier + piece evaluator (`recovery_pass`) —
 ///     variable tracing and extent replacement, with whatever evaluation
-///     ladder the language has (fold → bytecode → tree-walk for PS, a
-///     constant folder for JS);
+///     ladder the language has (fold → tree-walk for PS, a constant
+///     folder for JS);
 ///   - multilayer unwrapping (`unwrap_layers`) — the language's eval-like
 ///     disguises, recursing through the supplied callback so nested layers
 ///     run the full language-generic pipeline;

@@ -1159,34 +1159,6 @@ Value Interpreter::eval_index_values(const Value& target, const Value& index) {
   return pick_one(target, need_int(index, "index"));
 }
 
-// ------------------------------------------- bytecode VM operator surface
-
-Value Interpreter::binary_values(const Value& lhs, const std::string& op,
-                                 const Value& rhs) {
-  return eval_binary_values(lhs, op, rhs);
-}
-
-Value Interpreter::unary_value(const std::string& op, const Value& v) {
-  return eval_unary_value(op, v);
-}
-
-Value Interpreter::convert_value(const std::string& type_name, const Value& v) {
-  return cast_value(type_name, v);
-}
-
-Value Interpreter::index_values(const Value& target, const Value& index) {
-  return eval_index_values(target, index);
-}
-
-Value Interpreter::variable_value(const std::string& name) {
-  const VariableExpressionAst fake(0, 0, name);
-  return eval_variable(fake);
-}
-
-Value Interpreter::expand_value(const std::string& raw) {
-  return expand_string(raw, {});
-}
-
 // --------------------------------------------------------- interpolation
 
 Value Interpreter::expand_string(const std::string& raw, std::string_view src) {

@@ -167,32 +167,8 @@ class Interpreter {
   static std::int64_t need_int(const Value& v, std::string_view what);
   static std::string need_string(const Value& v);
 
-  // ---- value-level operator cores (the per-piece bytecode VM surface) ----
-  //
-  // Each wrapper exposes one already-evaluated-operand core of the tree
-  // walker so a compiled piece goes through the exact same operator /
-  // limit / error code paths as the AST it was compiled from. None of
-  // them evaluate child expressions; step charging is identical to the
-  // tree-walk site each one was extracted from (`binary_values` charges
-  // one step internally, the rest charge nothing).
-
-  /// `lhs <op> rhs` for every non-short-circuit binary operator.
-  Value binary_values(const Value& lhs, const std::string& op, const Value& rhs);
-  /// Value-only unary operators (`-`, `+`, `!`, `-not`, `-bnot`, `-join`,
-  /// `-split`, `,`). The stateful `++`/`--` family is not included.
-  Value unary_value(const std::string& op, const Value& v);
-  /// `[type] v` cast; `type_name` must already be lowercased.
-  Value convert_value(const std::string& type_name, const Value& v);
-  /// `target[index]` with hashtable / array-of-indices dispatch.
-  Value index_values(const Value& target, const Value& index);
-  /// Reads a variable by raw (possibly scope-qualified) name text, with the
-  /// full automatic/env/strict semantics of a `$name` expression node.
-  Value variable_value(const std::string& name);
-  /// Expands a double-quoted string body (backtick escapes, `$name`,
-  /// `$(...)` subexpressions).
-  Value expand_value(const std::string& raw);
   /// Resets the step counter, as `evaluate_script` does at depth 0 — lets a
-  /// pooled interpreter give each compiled piece a fresh step allowance.
+  /// pooled interpreter give each evaluated piece a fresh step allowance.
   void reset_steps() { steps_ = 0; }
 
  private:

@@ -16,15 +16,12 @@
 /// parser). A finished tree behind `shared_ptr<Arena>` may be *read* from
 /// any number of threads; destruction may happen on any thread. The chunk
 /// freelist is thread-local, so concurrent parses never contend on it.
-/// The annotation side-table is the one mutating surface that stays live
-/// after the parse finishes, so it takes its own mutex.
+/// A finished arena has no mutating surface, so it needs no lock.
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,26 +67,6 @@ class Arena {
   /// Releases the calling thread's parked chunks back to the allocator.
   static void trim_thread_freelist();
 
-  /// Annotation side-table: derived artifacts (compiled piece bytecode)
-  /// keyed by the arena node they were derived from, living exactly as long
-  /// as the tree they annotate. Cached parses are shared across worker
-  /// threads, so the table is mutex-protected; the annotations themselves
-  /// must be immutable once stored. Returns nullptr when absent.
-  [[nodiscard]] std::shared_ptr<void> find_annotation(const void* key) const {
-    const std::lock_guard<std::mutex> lock(annotations_mu_);
-    const auto it = annotations_.find(key);
-    return it == annotations_.end() ? nullptr : it->second;
-  }
-  /// First store wins: if another thread raced an annotation in for `key`,
-  /// the existing one is kept and returned (both are derived from the same
-  /// node, so they are interchangeable).
-  std::shared_ptr<void> store_annotation(const void* key,
-                                         std::shared_ptr<void> value) {
-    const std::lock_guard<std::mutex> lock(annotations_mu_);
-    const auto [it, inserted] = annotations_.emplace(key, std::move(value));
-    return it->second;
-  }
-
  private:
   template <class T>
   static void destroy_thunk(void* p) {
@@ -112,8 +89,6 @@ class Arena {
   std::byte* limit_ = nullptr;
   std::vector<Finalizer> finalizers_;
   std::size_t bytes_allocated_ = 0;
-  mutable std::mutex annotations_mu_;
-  std::unordered_map<const void*, std::shared_ptr<void>> annotations_;
 };
 
 /// Non-owning pointer to an arena-allocated node with the pointer surface of

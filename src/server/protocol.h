@@ -2,8 +2,10 @@
 
 /// \file protocol.h
 /// The `ideobf serve` wire protocol: newline-delimited JSON, one request
-/// object per line in, one response object per line out, same order per
-/// connection. The schema is a 1:1 rendering of the public
+/// object per line in, one response object per line out. Replies echo the
+/// request's `id` and must be matched by it: pipelined requests on one
+/// connection may be answered out of order (a shared-cache hit is answered
+/// at admission, ahead of earlier requests still in the engine). The schema is a 1:1 rendering of the public
 /// `ideobf::Request` / `ideobf::Response` pair (include/ideobf/api.h) plus
 /// three service ops — the server is the first consumer of the unified API,
 /// not a second code path. Full worked examples: docs/SERVER.md.

@@ -864,3 +864,59 @@ TEST(ServerLanguage, SharedCacheDoesNotAliasAcrossLanguages) {
   server.stop();
   ::unlink(cache.c_str());
 }
+
+TEST(ServerTest, PipelinedRepliesAreMatchedByIdNotOrder) {
+  // An engine miss pipelined ahead of a shared-cache hit on one connection:
+  // the hit is answered at admission, so it overtakes the miss still in
+  // the engine. Clients must match replies by id.
+  const std::string sock = test_socket("pipelined-order");
+  const std::string cache = "/tmp/ideobf-test-ordercache-" +
+                            std::to_string(::getpid()) + ".bin";
+  ServerConfig cfg = base_config(sock);
+  cfg.cache_path = cache;
+  Server server(cfg);
+  server.start();
+
+  {  // Warm the shared cache with the request that will hit.
+    ServeClient client = ServeClient::connect_unix(sock);
+    const ServeReply warm = client.call(deobf_request(kTicked, "warm"));
+    ASSERT_EQ(warm.status, "ok");
+    ASSERT_FALSE(warm.cached);
+  }
+
+  RawConn conn(sock);
+  conn.send_line(
+      ideobf::server::render_request_line(hostile_request("miss", 500)) +
+      "\n" +
+      ideobf::server::render_request_line(deobf_request(kTicked, "hit")));
+
+  std::vector<ServeReply> replies;
+  for (int i = 0; i < 2; ++i) {
+    ServeReply reply;
+    std::string error;
+    ASSERT_TRUE(ideobf::server::parse_reply_line(conn.recv_line(), reply,
+                                                 error))
+        << error;
+    replies.push_back(std::move(reply));
+  }
+  const auto by_id = [&replies](const std::string& id) -> const ServeReply* {
+    for (const ServeReply& r : replies) {
+      if (r.response.id == id) return &r;
+    }
+    return nullptr;
+  };
+  const ServeReply* hit = by_id("hit");
+  const ServeReply* miss = by_id("miss");
+  ASSERT_NE(hit, nullptr);
+  ASSERT_NE(miss, nullptr);
+  EXPECT_TRUE(hit->cached);
+  EXPECT_NE(hit->response.result.find("Write-Host"), std::string::npos);
+  EXPECT_FALSE(miss->cached);
+  EXPECT_TRUE(miss->response.ok);
+  EXPECT_EQ(miss->response.failure, FailureKind::Timeout);
+  // The later request's reply arrived first.
+  EXPECT_EQ(replies.front().response.id, "hit");
+
+  server.stop();
+  ::unlink(cache.c_str());
+}
