@@ -80,9 +80,10 @@ struct Response {
 };
 
 /// The engine behind every entry point: owns the configured options and the
-/// shared parse cache, and serves Requests. Const-callable from any number
-/// of threads; `handle` seals exceptions (a hostile input degrades its own
-/// response, it never throws).
+/// shared parse cache, and serves Requests. The parse cache is the only
+/// state one request leaves for the next, and it never changes a response.
+/// Const-callable from any number of threads; `handle` seals exceptions (a
+/// hostile input degrades its own response, it never throws).
 class Engine {
  public:
   explicit Engine(Options options = {});
@@ -111,36 +112,9 @@ class Engine {
 
   [[nodiscard]] const Options& options() const;
 
-  /// A warm per-thread session: shares the engine's parse cache and keeps a
-  /// private recovery memo across requests, so a decoder fragment repeated
-  /// across a stream of requests is sandbox-executed once. This is what a
-  /// server worker slot holds. Not thread-safe (one session per thread);
-  /// safe to outlive the Engine it came from.
-  class Session {
-   public:
-    ~Session();
-    Session(Session&&) noexcept;
-    Session& operator=(Session&&) noexcept;
-    Session(const Session&) = delete;
-    Session& operator=(const Session&) = delete;
-
-    [[nodiscard]] Response handle(const Request& request);
-
-    /// Envelope override, same contract as Engine::handle(request, limits).
-    [[nodiscard]] Response handle(const Request& request,
-                                  const Options::Limits& limits);
-
-   private:
-    friend class Engine;
-    struct Impl;
-    explicit Session(std::unique_ptr<Impl> impl);
-    std::unique_ptr<Impl> impl_;
-  };
-  [[nodiscard]] Session session() const;
-
  private:
   struct Impl;
-  std::shared_ptr<const Impl> impl_;
+  std::unique_ptr<const Impl> impl_;
 };
 
 }  // namespace ideobf

@@ -109,16 +109,10 @@ struct Options {
     bool trace_functions = false;
     /// Memoize recovered pieces (piece text + traced-variable context
     /// fingerprint -> recovered literal) so a piece repeated across
-    /// occurrences, layers, or fixed-point passes executes once. Output and
-    /// report are identical either way.
+    /// occurrences, layers, or fixed-point passes executes once. The memo
+    /// lives for one pipeline attempt; nothing is shared across calls.
+    /// Output, failure and rung are identical either way.
     bool memo = true;
-    /// Share one engine-global RecoveryMemo across every call, batch slot,
-    /// and server session of the engine. The memo is thread-safe and
-    /// content-addressed — keys fingerprint the full evaluation context,
-    /// limits included — so a piece recovered anywhere is a hit everywhere
-    /// and sharing never changes output. Disabling reverts to one memo per
-    /// run (per server session for session calls).
-    bool share_memo = true;
     /// Additional lowercase command names to refuse executing.
     std::vector<std::string> extra_blocklist;
   } recovery;

@@ -43,22 +43,6 @@ struct Engine::Impl {
   InvokeDeobfuscator deobf;
 };
 
-struct Engine::Session::Impl {
-  std::shared_ptr<const Engine::Impl> engine;
-  /// Session-private memo, used only when the engine-global one is opted out
-  /// (recovery.memo without recovery.share_memo): pieces then stay memoized
-  /// within this session but are never shared across sessions.
-  RecoveryMemo memo;
-
-  /// The memo this session's calls should pass to the engine: null defers to
-  /// the engine-global memo (or a per-run one when memoization is off).
-  RecoveryMemo* session_memo() {
-    const Options& options = engine->options;
-    return options.recovery.memo && !options.recovery.share_memo ? &memo
-                                                                 : nullptr;
-  }
-};
-
 namespace {
 
 /// The one code path every entry point funnels through: resolves the
@@ -67,7 +51,7 @@ namespace {
 /// overrides pipeline options), and seals exceptions — a hostile input
 /// degrades its own response, it never throws.
 Response handle_one(const Options& base, const InvokeDeobfuscator& deobf,
-                    const Request& request, RecoveryMemo* memo,
+                    const Request& request,
                     const Options::Limits* envelope = nullptr) {
   Response response;
   response.id = request.id;
@@ -97,7 +81,7 @@ Response handle_one(const Options& base, const InvokeDeobfuscator& deobf,
   bool sealed = false;
   try {
     response.result = engine->deobfuscate(request.source, response.report,
-                                          limits, memo, request.language);
+                                          limits, request.language);
   } catch (...) {
     // Ungoverned calls (no active envelope) can propagate pipeline
     // exceptions; the API contract is total, so seal them here exactly like
@@ -121,7 +105,7 @@ Response handle_one(const Options& base, const InvokeDeobfuscator& deobf,
 }  // namespace
 
 Engine::Engine(Options options)
-    : impl_(std::make_shared<const Impl>(std::move(options))) {}
+    : impl_(std::make_unique<const Impl>(std::move(options))) {}
 Engine::~Engine() = default;
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
@@ -129,12 +113,12 @@ Engine& Engine::operator=(Engine&&) noexcept = default;
 const Options& Engine::options() const { return impl_->options; }
 
 Response Engine::handle(const Request& request) const {
-  return handle_one(impl_->options, impl_->deobf, request, nullptr);
+  return handle_one(impl_->options, impl_->deobf, request);
 }
 
 Response Engine::handle(const Request& request,
                         const Options::Limits& limits) const {
-  return handle_one(impl_->options, impl_->deobf, request, nullptr, &limits);
+  return handle_one(impl_->options, impl_->deobf, request, &limits);
 }
 
 std::vector<Response> Engine::handle_batch(
@@ -181,30 +165,6 @@ std::vector<Response> Engine::handle_batch(
     response.seconds = item.seconds;
   }
   return responses;
-}
-
-Engine::Session Engine::session() const {
-  auto impl = std::make_unique<Session::Impl>();
-  impl->engine = impl_;
-  return Session(std::move(impl));
-}
-
-Engine::Session::Session(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-Engine::Session::~Session() = default;
-Engine::Session::Session(Session&&) noexcept = default;
-Engine::Session& Engine::Session::operator=(Session&&) noexcept = default;
-
-Response Engine::Session::handle(const Request& request) {
-  const Engine::Impl& engine = *impl_->engine;
-  return handle_one(engine.options, engine.deobf, request,
-                    impl_->session_memo());
-}
-
-Response Engine::Session::handle(const Request& request,
-                                 const Options::Limits& limits) {
-  const Engine::Impl& engine = *impl_->engine;
-  return handle_one(engine.options, engine.deobf, request,
-                    impl_->session_memo(), &limits);
 }
 
 }  // namespace ideobf

@@ -116,11 +116,6 @@ std::vector<std::string> deobfuscate_batch_items(
     }
   }
 
-  // Piece-execution memoization is the engine's: when share_memo is on the
-  // deobfuscator owns one thread-safe content-addressed memo shared by every
-  // slot (a piece recovered on slot 0 is a hit on slot 3), so the batch
-  // passes no memo of its own.
-
   // Per-slot phase-profile partials, merged into report.profile after the
   // pool drains (slot-exclusive during the job, so no locking).
   std::vector<telemetry::PipelineProfile> profiles(threads);
@@ -177,7 +172,7 @@ std::vector<std::string> deobfuscate_batch_items(
         engine = &*custom;
       }
       results[i] =
-          engine->deobfuscate(spec.source, rep, lim, nullptr, spec.language);
+          engine->deobfuscate(spec.source, rep, lim, spec.language);
       profiles[slot].merge(rep.profile);
       item.degradation_rung = rep.degradation_rung;
       // Passthrough (rung 3) means no pipeline output was served; count

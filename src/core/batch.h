@@ -8,10 +8,9 @@
 ///
 /// Execution model: items run on the process-lifetime work-stealing
 /// ps::WorkerPool (no per-call thread spawn; per-thread arena chunk
-/// freelists stay warm across batches). Piece memoization is the engine's
-/// global content-addressed RecoveryMemo (Options::Recovery::share_memo),
-/// shared across every slot — a decoder fragment repeated across a corpus
-/// is sandbox-executed once per batch, not once per slot.
+/// freelists stay warm across batches). Slots share the engine's parse
+/// cache and nothing else: each item's pipeline run owns its piece memo,
+/// so an item's output and report never depend on what ran before it.
 ///
 /// Robustness model: each item runs under its own governor envelope (see
 /// Options::Limits) with a private cancellation token, and a watchdog thread

@@ -124,12 +124,6 @@ InvokeDeobfuscator::InvokeDeobfuscator(Options options)
                  ? options_.shared_parse_cache
                  : std::make_shared<ps::ParseCache>();
   }
-  if (options_.recovery.memo && options_.recovery.share_memo) {
-    // Engine-global piece memo: content-addressed and thread-safe, shared by
-    // every call, batch slot, and server session on this engine. Copies of
-    // the engine share it, like the parse cache.
-    memo_ = std::make_shared<RecoveryMemo>();
-  }
   frontends_ = FrontendRegistry::instance().create_all(options_, cache_);
 }
 
@@ -189,20 +183,7 @@ Options InvokeDeobfuscator::rung_options(int rung) const {
 
 std::string InvokeDeobfuscator::deobfuscate(
     std::string_view script, DeobfuscationReport& report,
-    const Options::Limits& limits) const {
-  return deobfuscate(script, report, limits, nullptr);
-}
-
-std::string InvokeDeobfuscator::deobfuscate(
-    std::string_view script, DeobfuscationReport& report,
-    const Options::Limits& limits, RecoveryMemo* shared_memo) const {
-  return deobfuscate(script, report, limits, shared_memo, kDefaultLanguage);
-}
-
-std::string InvokeDeobfuscator::deobfuscate(
-    std::string_view script, DeobfuscationReport& report,
-    const Options::Limits& limits, RecoveryMemo* shared_memo,
-    std::string_view language) const {
+    const Options::Limits& limits, std::string_view language) const {
   const std::string_view resolved = resolve_language(language, script);
   const LanguageFrontend* fe = frontend(resolved);
   frontend_request_counter(fe != nullptr ? fe->name() : "unknown").add();
@@ -229,7 +210,7 @@ std::string InvokeDeobfuscator::deobfuscate(
   {
     telemetry::ProfileScope profile_scope(&profile);
     telemetry::PhaseSpan pipeline_span(telemetry::Phase::Pipeline);
-    out = deobfuscate_impl(script, report, limits, shared_memo, *fe);
+    out = deobfuscate_impl(script, report, limits, *fe);
   }
   report.profile = profile;
   if (report.degradation_rung >= 3) frontend_failure_counter(fe->name()).add();
@@ -238,13 +219,11 @@ std::string InvokeDeobfuscator::deobfuscate(
 
 std::string InvokeDeobfuscator::deobfuscate_impl(
     std::string_view script, DeobfuscationReport& report,
-    const Options::Limits& limits, RecoveryMemo* shared_memo,
-    const LanguageFrontend& fe) const {
+    const Options::Limits& limits, const LanguageFrontend& fe) const {
   if (!limits.active()) {
     // Ungoverned: the exact pre-governor code path, no budget checkpoints.
     report = DeobfuscationReport{};
-    std::string out = run_pipeline(script, report, options_, nullptr,
-                                   shared_memo, fe);
+    std::string out = run_pipeline(script, report, options_, nullptr, fe);
     if (report.failure == ps::FailureKind::None) {
       report.failure = report.recovery.worst_failure;
     }
@@ -276,8 +255,8 @@ std::string InvokeDeobfuscator::deobfuscate_impl(
     governor_attempt_counter().add();
     if (rung > 0) governor_ladder_step_counter().add();
     try {
-      std::string out = run_pipeline(script, attempt, rung_options(rung),
-                                     &budget, shared_memo, fe);
+      std::string out =
+          run_pipeline(script, attempt, rung_options(rung), &budget, fe);
       report = std::move(attempt);
       report.degradation_rung = rung;
       report.attempts = attempts;
@@ -316,7 +295,6 @@ std::string InvokeDeobfuscator::run_pipeline(std::string_view script,
                                              DeobfuscationReport& report,
                                              const Options& opts,
                                              ps::Budget* budget,
-                                             RecoveryMemo* shared_memo,
                                              const LanguageFrontend& fe) const {
   TraceSink sink(opts.telemetry.max_trace_events);
   TraceSink* trace = opts.telemetry.collect_trace ? &sink : nullptr;
@@ -330,19 +308,12 @@ std::string InvokeDeobfuscator::run_pipeline(std::string_view script,
     report.failure = ps::FailureKind::ParseError;
     report.failure_detail = "input does not parse";
   }
-  // Memo selection: an explicit caller-supplied memo wins, then the
-  // engine-global memo (shared across every call, batch slot and server
-  // session — sound because memo keys fingerprint the full evaluation
-  // context, limits and language salt included), then a run-local memo
-  // shared only by the layers and fixed-point passes of this run.
-  RecoveryMemo local_memo;
-  RecoveryMemo* memo_ptr =
-      !opts.recovery.memo ? nullptr
-      : shared_memo != nullptr ? shared_memo
-      : memo_ != nullptr       ? memo_.get()
-                               : &local_memo;
-  std::string out = deobfuscate_layers(script, report, 0, trace, memo_ptr,
-                                       opts, budget, fe);
+  // The piece memo lives for this run only: shared by its layers and
+  // fixed-point passes, never by another attempt, call or request.
+  RecoveryMemo memo;
+  std::string out =
+      deobfuscate_layers(script, report, 0, trace,
+                         opts.recovery.memo ? &memo : nullptr, opts, budget, fe);
 
   if (opts.rename) {
     if (budget != nullptr) budget->force_checkpoint();

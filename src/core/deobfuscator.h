@@ -35,8 +35,9 @@
 namespace ideobf {
 
 /// The deobfuscator. Const-callable from any number of threads and cheap to
-/// copy; copies share the (thread-safe) parse cache, recovery memo, and
-/// front-end instances.
+/// copy; copies share the (thread-safe) parse cache and the front-end
+/// instances. Nothing else outlives a call: each pipeline attempt builds
+/// its own piece memo.
 class InvokeDeobfuscator {
  public:
   explicit InvokeDeobfuscator(Options options = {});
@@ -54,30 +55,15 @@ class InvokeDeobfuscator {
   /// max_steps_per_piece, max_piece_size) always come from the configured
   /// options(), so two requests against one engine run the same pipeline
   /// under different deadlines.
-  [[nodiscard]] std::string deobfuscate(std::string_view script,
-                                        DeobfuscationReport& report,
-                                        const Options::Limits& limits) const;
-  /// As above, additionally substituting an externally owned
-  /// piece-execution memo for the engine's own. Memo keys fingerprint
-  /// everything relevant to a piece's evaluation — the front-end's language
-  /// salt included — so cross-script sharing is sound, and RecoveryMemo is
-  /// thread-safe, so one memo may serve concurrent calls. Null uses the
-  /// engine-global memo (when options().recovery.share_memo) or a per-run
-  /// one. Ignored when options().recovery.memo is false.
+  ///
+  /// `language` picks the front-end: a registered front-end name, "" (the
+  /// default language) or "auto" (sniffed per source). An unknown language
+  /// serves classified passthrough (FailureKind::Internal, rung 3) — the
+  /// totality contract holds for misrouted requests too.
   [[nodiscard]] std::string deobfuscate(std::string_view script,
                                         DeobfuscationReport& report,
                                         const Options::Limits& limits,
-                                        RecoveryMemo* shared_memo) const;
-  /// Language-dispatching entry point: runs the pipeline under the named
-  /// front-end. `language` is a registered front-end name, "" (the default
-  /// language) or "auto" (sniffed per source). An unknown language serves
-  /// classified passthrough (FailureKind::Internal, rung 3) — the totality
-  /// contract holds for misrouted requests too.
-  [[nodiscard]] std::string deobfuscate(std::string_view script,
-                                        DeobfuscationReport& report,
-                                        const Options::Limits& limits,
-                                        RecoveryMemo* shared_memo,
-                                        std::string_view language) const;
+                                        std::string_view language = {}) const;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
@@ -106,14 +92,12 @@ class InvokeDeobfuscator {
   std::string deobfuscate_impl(std::string_view script,
                                DeobfuscationReport& report,
                                const Options::Limits& limits,
-                               RecoveryMemo* shared_memo,
                                const LanguageFrontend& frontend) const;
   /// One full pipeline run under `opts`, checkpointing `budget` (may be
-  /// null) between phases. Throws on budget/fault aborts. `shared_memo`
-  /// substitutes for the run-local piece memo when non-null.
+  /// null) between phases, with its own piece memo when
+  /// opts.recovery.memo. Throws on budget/fault aborts.
   std::string run_pipeline(std::string_view script, DeobfuscationReport& report,
                            const Options& opts, ps::Budget* budget,
-                           RecoveryMemo* shared_memo,
                            const LanguageFrontend& frontend) const;
   std::string deobfuscate_layers(std::string_view script,
                                  DeobfuscationReport& report, int depth,
@@ -124,10 +108,6 @@ class InvokeDeobfuscator {
   [[nodiscard]] Options rung_options(int rung) const;
   Options options_;
   std::shared_ptr<ps::ParseCache> cache_;
-  /// Engine-global piece memo; null unless options_.recovery.memo &&
-  /// options_.recovery.share_memo. Shared by copies of the engine — and,
-  /// soundly, by every front-end: each salts its memo contexts.
-  std::shared_ptr<RecoveryMemo> memo_;
   /// One instance per registered front-end, registry order (default
   /// language first). Const-shared: front-ends are pure policy.
   std::vector<std::shared_ptr<const LanguageFrontend>> frontends_;

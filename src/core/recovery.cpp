@@ -116,24 +116,14 @@ std::string value_to_literal(const Value& value) {
 }
 
 std::optional<std::string> RecoveryMemo::lookup(std::size_t context,
-                                                std::string_view piece) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  // Counters record into the *calling* thread's metric shard, so batch
-  // workers (bound to their pool slot's shard) keep per-slot hit rates
-  // observable even though the memo itself is global.
+                                                std::string_view piece) {
+  ++lookups_;
   memo_lookup_counter().add();
-  Key key{context, std::string(piece)};
-  const std::size_t h = KeyHash{}(key);
-  Shard& shard = shard_for(h);
-  {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      std::string literal = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      memo_hit_counter().add();
-      return literal;
-    }
+  const auto it = map_.find(Key{context, std::string(piece)});
+  if (it != map_.end()) {
+    ++hits_;
+    memo_hit_counter().add();
+    return it->second;
   }
   memo_miss_counter().add();
   return std::nullopt;
@@ -141,21 +131,8 @@ std::optional<std::string> RecoveryMemo::lookup(std::size_t context,
 
 void RecoveryMemo::store(std::size_t context, std::string_view piece,
                          std::string literal) {
-  Key key{context, std::string(piece)};
-  const std::size_t h = KeyHash{}(key);
-  Shard& shard = shard_for(h);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= kMaxEntriesPerShard) return;
-  shard.map.emplace(std::move(key), std::move(literal));
-}
-
-std::size_t RecoveryMemo::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+  if (map_.size() >= kMaxEntries) return;
+  map_.emplace(Key{context, std::string(piece)}, std::move(literal));
 }
 
 namespace {
@@ -229,23 +206,22 @@ class Reconstructor {
   /// steps reset per piece) serves every fold in the pass — no per-piece
   /// construction, no table seeding, no function-definition replay.
   std::unique_ptr<ps::Interpreter> fold_interp_;
-  /// Cached limits-only memo context for pure pieces (lazy; 0 = unset).
-  mutable std::size_t pure_ctx_ = 0;
 
-  /// Context salt for environment-variable probes: their evaluation uses a
-  /// fresh table-free interpreter, so their memo entries must not collide
-  /// with piece executions under an arbitrary table fingerprint.
+  /// Memo context for pure pieces: they cannot read the table, so one
+  /// constant context serves every pure piece of the run.
+  static constexpr std::size_t kPureContext = 0x517cc1b727220a95ull;
+  /// Memo context for environment-variable probes: their evaluation uses a
+  /// fresh table-free interpreter, so their result depends on the variable
+  /// text alone.
   static constexpr std::size_t kEnvProbeContext = 0x9e3779b97f4a7c15ull;
 
-  /// Fingerprint of everything that can influence a piece execution: the
-  /// visible symbol-table entries (name, value kind, display form) and the
-  /// loaded function definitions. Equal text + equal fingerprint implies
-  /// the interpreter would produce the same result, so the memoized literal
-  /// substitutes for re-execution.
+  /// Fingerprint of the visible symbol-table entries (name, value kind,
+  /// display form) and the loaded function definitions. Within one run
+  /// (fixed limits, blocklist and front-end), equal text + equal
+  /// fingerprint implies the interpreter would produce the same result, so
+  /// the memoized literal substitutes for re-execution.
   std::size_t context_fingerprint() const {
-    // The language salt is part of every context: identical piece bytes
-    // under another front-end must never alias on a shared memo.
-    std::size_t h = 14695981039346656037ull ^ options_.language_salt;
+    std::size_t h = 14695981039346656037ull;
     const auto mix = [&h](std::string_view s) {
       for (unsigned char c : s) {
         h ^= c;
@@ -266,14 +242,6 @@ class Reconstructor {
       mix(info.value.to_display_string());
     }
     for (const std::string& def : function_defs_) mix(def);
-    // The execution limits and blocklist gate what a piece may do before it
-    // fails, and a failure is memoized as "known unrecoverable" — so they
-    // are part of the context. This keeps one memo sound when shared across
-    // degradation rungs (which tighten the limits) or across batch slots.
-    mix(std::to_string(options_.max_steps_per_piece));
-    mix(std::to_string(options_.max_piece_size));
-    for (const std::string& blocked : options_.extra_blocklist) mix(blocked);
-    mix(options_.trace_functions ? "tf1" : "tf0");
     return h;
   }
 
@@ -333,16 +301,6 @@ class Reconstructor {
       fold_interp_ = std::make_unique<ps::Interpreter>(opts);
     }
     return *fold_interp_;
-  }
-
-  /// Memo context for pure pieces: the execution limits only (they decide
-  /// how a piece may fail, and failures are memoized), under a fixed salt
-  /// so entries never collide with table-fingerprinted contexts. Cached —
-  /// unlike context_fingerprint() this never rescans the table.
-  std::size_t pure_context_fingerprint() const {
-    if (pure_ctx_ != 0) return pure_ctx_;
-    pure_ctx_ = pure_memo_context(options_);
-    return pure_ctx_;
   }
 
   /// The single statement of a parsed piece, or null when the piece is not
@@ -518,8 +476,7 @@ class Reconstructor {
       std::string literal;
       const std::optional<std::string> hit =
           options_.memo != nullptr
-              ? options_.memo->lookup(kEnvProbeContext ^ options_.language_salt,
-                                      probe_text)
+              ? options_.memo->lookup(kEnvProbeContext, probe_text)
               : std::nullopt;
       if (hit.has_value()) {
         stats_.memo_hits++;
@@ -544,8 +501,7 @@ class Reconstructor {
           // unknown: keep as-is
         }
         if (options_.memo != nullptr) {
-          options_.memo->store(kEnvProbeContext ^ options_.language_salt,
-                               probe_text, literal);
+          options_.memo->store(kEnvProbeContext, probe_text, literal);
         }
       }
       if (!literal.empty()) {
@@ -604,9 +560,9 @@ class Reconstructor {
   /// Executes a piece through the two-rung evaluation ladder:
   ///
   ///   1. classify the piece with is_pure_piece();
-  ///   2. consult the memo — pure pieces under the cached limits-only
-  ///      context (so one entry serves every script, slot, and session),
-  ///      everything else under the traced-table fingerprint;
+  ///   2. consult the run's memo — pure pieces under the constant pure
+  ///      context (one entry per piece text), everything else under the
+  ///      traced-table fingerprint;
   ///   3. on a miss, evaluate: *fold* pure pieces by tree-walking them on
   ///      the shared table-free interpreter, and tree-walk everything else
   ///      on a freshly seeded interpreter (*fallback*).
@@ -631,8 +587,7 @@ class Reconstructor {
       if (options_.fault != nullptr) {
         options_.fault->inject(FaultSite::MemoLookup);
       }
-      ctx = pure != nullptr ? pure_context_fingerprint()
-                            : context_fingerprint();
+      ctx = pure != nullptr ? kPureContext : context_fingerprint();
       if (const std::optional<std::string> hit =
               options_.memo->lookup(ctx, text)) {
         stats_.memo_hits++;
@@ -819,28 +774,6 @@ bool is_pure_piece(const Ast& node) {
       // hashtables, script blocks, assignments.
       return false;
   }
-}
-
-std::size_t pure_memo_context(const RecoveryOptions& options) {
-  // Pure-piece results depend only on the piece text and the execution
-  // limits (which gate how a piece may *fail*), never on the traced-variable
-  // table — so all scripts, slots, and sessions share one entry per piece
-  // under this fixed salt. Its value is pinned: it keys every pure entry.
-  constexpr std::size_t kPureContextSalt = 0x517cc1b727220a95ull;
-  std::size_t h =
-      14695981039346656037ull ^ kPureContextSalt ^ options.language_salt;
-  const auto mix = [&h](std::string_view s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    h ^= 0xffu;  // field separator
-    h *= 1099511628211ull;
-  };
-  mix(std::to_string(options.max_steps_per_piece));
-  mix(std::to_string(options.max_piece_size));
-  for (const std::string& blocked : options.extra_blocklist) mix(blocked);
-  return h | 1;  // nonzero: 0 is the "unset" sentinel
 }
 
 std::string recovery_pass(std::string_view script,

@@ -7,10 +7,7 @@
 /// execution blocklist, and reconstructs the script by post-order in-place
 /// replacement.
 
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,42 +33,32 @@ class FaultInjector;
 // RecoveryStats moved to the public facade (include/ideobf/report.h),
 // which core/trace.h re-exports.
 
-/// Memoizes sandbox executions of recoverable pieces: the same obfuscated
-/// fragment under the same traced-variable context is executed once, not
-/// once per occurrence per layer per fixed-point pass — nor once per worker
-/// slot or server session. Keyed by the piece text plus a fingerprint of
-/// everything that can influence its evaluation (visible symbol-table
-/// entries, loaded function definitions, and the execution
-/// limits/blocklist). An empty memoized literal records "known
-/// unrecoverable", so failed executions are not retried either; because the
-/// limits are part of the fingerprint, a tight-limit failure never masks a
-/// full-limit success.
+/// Memoizes sandbox executions of recoverable pieces within one pipeline
+/// run: the same obfuscated fragment under the same traced-variable context
+/// is executed once, not once per occurrence per layer per fixed-point pass.
+/// Keyed by the piece text plus a fingerprint of the visible symbol-table
+/// entries and loaded function definitions. An empty memoized literal
+/// records "known unrecoverable", so failed executions are not retried
+/// either.
 ///
-/// Thread-safe and content-addressed: the table is sharded by key hash with
-/// one mutex per shard, so one memo is shared engine-wide — across every
-/// WorkerPool slot of a batch and every Session of the serve daemon.
-/// Obfuscation kits repeat the same building-block pieces across scripts,
-/// which is exactly what a global memo converts from per-thread re-executions
-/// into hits. Hit/lookup counters are relaxed atomics; `size()` takes the
-/// shard locks briefly and is a racy-but-consistent snapshot.
+/// Scoped to one run (one degradation-ladder attempt), which is what makes
+/// the key sound: the execution limits, blocklist and front-end are fixed
+/// for the run, and every failure kind a hit stands for was already
+/// recorded by the execution that stored it. Single-threaded: each run
+/// owns its memo.
 class RecoveryMemo {
  public:
   /// The memoized literal for this piece under this context, or nullopt
   /// when the piece has not been executed yet. "" means execution failed or
-  /// the result had no literal form. Returns by value: a pointer into the
-  /// table would race with concurrent inserts once the lock is dropped.
+  /// the result had no literal form.
   [[nodiscard]] std::optional<std::string> lookup(std::size_t context,
-                                                  std::string_view piece) const;
+                                                  std::string_view piece);
   void store(std::size_t context, std::string_view piece, std::string literal);
 
-  [[nodiscard]] std::size_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t misses() const { return lookups() - hits(); }
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t hits() const { return hits_; }
+  [[nodiscard]] std::size_t lookups() const { return lookups_; }
+  [[nodiscard]] std::size_t misses() const { return lookups_ - hits_; }
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
 
  private:
   struct Key {
@@ -84,22 +71,12 @@ class RecoveryMemo {
       return k.context ^ std::hash<std::string>{}(k.piece);
     }
   };
-  static constexpr std::size_t kShardCount = 16;
-  /// Growth bound for pathological scripts with unbounded distinct pieces
-  /// (8192 entries total, as before sharding).
-  static constexpr std::size_t kMaxEntriesPerShard = 512;
+  /// Growth bound for pathological scripts with unbounded distinct pieces.
+  static constexpr std::size_t kMaxEntries = 8192;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, std::string, KeyHash> map;
-  };
-  Shard& shard_for(std::size_t key_hash) const {
-    return shards_[key_hash % kShardCount];
-  }
-
-  mutable std::array<Shard, kShardCount> shards_;
-  mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> lookups_{0};
+  std::unordered_map<Key, std::string, KeyHash> map_;
+  std::size_t hits_ = 0;
+  std::size_t lookups_ = 0;
 };
 
 struct RecoveryOptions {
@@ -122,27 +99,12 @@ struct RecoveryOptions {
   /// Optional fault injector (sites: PieceExecution, MemoLookup). Injected
   /// FaultErrors likewise propagate out of the pass. May be null.
   FaultInjector* fault = nullptr;
-  /// Language salt of the front-end running this pass, XOR-mixed into every
-  /// memo context fingerprint. 0 is reserved for PowerShell (its
-  /// fingerprints predate front-ends and must stay stable); other
-  /// front-ends supply a distinct nonzero salt so identical piece bytes
-  /// submitted under different languages never alias on a shared memo.
-  std::size_t language_salt = 0;
 };
-
-/// The memo context fingerprint for *pure* pieces — pieces whose result
-/// depends only on their text plus the execution limits (which gate how a
-/// piece may fail, and failures are memoized). FNV-1a over the limits and
-/// blocklist under a fixed pure-context salt, XOR-mixed with
-/// options.language_salt. Shared by every front-end so the language-alias
-/// regression test can prove both the collision (equal salts) and the fix
-/// (distinct salts). Always odd — 0 is RecoveryMemo's "unset" sentinel.
-[[nodiscard]] std::size_t pure_memo_context(const RecoveryOptions& options);
 
 /// True when evaluating `root` (a recoverable piece, or the single statement
 /// of a rewritten piece's parse) cannot observe interpreter state, so it
-/// folds on a shared table-free interpreter under pure_memo_context. Pure
-/// pieces are built only from constants, type literals, `$`-free
+/// folds on a shared table-free interpreter under one constant memo context.
+/// Pure pieces are built only from constants, type literals, `$`-free
 /// expandable strings, the constant automatic variables ($true, $false,
 /// $null, $pshome, $psscriptroot, $shellid, $home, $pwd), binary operators,
 /// the value unary operators (`-` `+` `!` `-not` `-bnot` `-join` `-split`

@@ -23,21 +23,17 @@
 ///     disguises, recursing through the supplied callback so nested layers
 ///     run the full language-generic pipeline;
 ///   - rename + reformat policies;
-///   - a sniffing score (`sniff`) for `language: "auto"` dispatch;
-///   - a memo salt (`memo_language_salt`) so one engine-global RecoveryMemo
-///     can be shared across front-ends without identical piece bytes ever
-///     aliasing across languages.
+///   - a sniffing score (`sniff`) for `language: "auto"` dispatch.
 ///
 /// Front-ends are registered in `FrontendRegistry` (frontends/registry.h)
 /// keyed by the `language` field of `ideobf::Request`; PowerShell is the
 /// first registered front-end and the default language.
 ///
 /// Thread-safety contract: a front-end instance is const-shared by every
-/// call, batch slot, and server session of one engine — all methods must be
+/// call, batch slot, and server worker of one engine — all methods must be
 /// const-callable from any number of threads (internal caches must be
 /// thread-safe, like ps::ParseCache).
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -71,8 +67,8 @@ struct FrontendPhaseContext {
   /// deadline, allocation and cancellation aborts propagate. Null when the
   /// call is ungoverned.
   ps::Budget* budget = nullptr;
-  /// The piece-execution memo for this run (engine-global, session, or
-  /// run-local — the core decides). Null when memoization is off.
+  /// The piece-execution memo of this pipeline attempt, shared by its
+  /// layers and fixed-point passes. Null when memoization is off.
   RecoveryMemo* memo = nullptr;
   /// Fault-injection test hook; arm the language's execution sites when
   /// non-null.
@@ -132,13 +128,6 @@ class LanguageFrontend {
   /// ties resolving to the default language. Must be cheap (lexical
   /// heuristics, no full parse of adversarial input).
   [[nodiscard]] virtual double sniff(std::string_view source) const = 0;
-
-  /// Salt mixed into every RecoveryMemo context fingerprint this front-end
-  /// produces. Distinct per language (0 is reserved for PowerShell, whose
-  /// fingerprints predate front-ends), so identical piece bytes submitted
-  /// under different languages can never alias to one memoized literal on
-  /// the shared engine-global memo.
-  [[nodiscard]] virtual std::size_t memo_language_salt() const = 0;
 };
 
 }  // namespace ideobf

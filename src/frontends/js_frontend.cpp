@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/recovery.h"
 #include "jslang/eval.h"
 #include "jslang/lexer.h"
 #include "jslang/parser.h"
@@ -137,13 +136,11 @@ struct Binding {
 class Folder {
  public:
   Folder(std::string_view text, const jslang::EvalLimits& limits,
-         const FrontendPhaseContext& ctx, std::size_t memo_context,
-         std::set<std::string> untraceable, RecoveryStats& stats,
-         TraceSink* trace)
+         const FrontendPhaseContext& ctx, std::set<std::string> untraceable,
+         RecoveryStats& stats, TraceSink* trace)
       : text_(text),
         limits_(limits),
         ctx_(ctx),
-        memo_context_(memo_context),
         untraceable_(std::move(untraceable)),
         stats_(stats),
         trace_(trace) {}
@@ -283,23 +280,6 @@ class Folder {
       return false;
     }
 
-    // Memo: only non-trivial call pieces (decoder invocations); bare
-    // identifier substitution is cheaper than the lookup would be.
-    const bool memoizable = ctx_.memo != nullptr &&
-                            n.kind == Node::Kind::Call && extent.size() >= 16;
-    if (memoizable) {
-      if (ctx_.fault != nullptr) ctx_.fault->inject(FaultSite::MemoLookup);
-      const std::optional<std::string> hit =
-          ctx_.memo->lookup(memo_context_, extent);
-      if (hit.has_value()) {
-        ++stats_.memo_hits;
-        if (hit->empty() || *hit == extent) return false;
-        record_fold(n, extent, *hit);
-        return true;
-      }
-      ++stats_.memo_misses;
-    }
-
     if (ctx_.fault != nullptr && n.kind == Node::Kind::Call) {
       ctx_.fault->inject(FaultSite::PieceExecution);
     }
@@ -309,18 +289,13 @@ class Folder {
                                       "js-fold");
       value = jslang::evaluate(n, visible_env(n.begin), limits_);
     }
-    if (!value.has_value()) {
-      if (memoizable) ctx_.memo->store(memo_context_, extent, "");
-      return false;
-    }
+    if (!value.has_value()) return false;
     const std::string literal = jslang::to_js_literal(*value);
     // No faithful literal form, no change, or an ASI hazard (a leading '-'
     // can fuse with the previous line into a subtraction): leave it.
     if (literal.empty() || literal == extent || literal[0] == '-') {
-      if (memoizable) ctx_.memo->store(memo_context_, extent, "");
       return false;
     }
-    if (memoizable) ctx_.memo->store(memo_context_, extent, literal);
     if (n.kind == Node::Kind::Call) ++stats_.pieces_folded;
     record_fold(n, extent, literal);
     return true;
@@ -350,7 +325,6 @@ class Folder {
   std::string_view text_;
   const jslang::EvalLimits& limits_;
   const FrontendPhaseContext& ctx_;
-  std::size_t memo_context_;
   std::set<std::string> untraceable_;
   RecoveryStats& stats_;
   TraceSink* trace_;
@@ -438,19 +412,13 @@ class JsFrontend final : public LanguageFrontend {
     }
 
     jslang::EvalLimits limits;
-    RecoveryOptions ro;
     if (ctx.opts != nullptr) {
       limits.max_steps = ctx.opts->limits.max_steps_per_piece;
       limits.max_value_bytes = ctx.opts->limits.max_piece_size;
-      ro.max_steps_per_piece = ctx.opts->limits.max_steps_per_piece;
-      ro.max_piece_size = ctx.opts->limits.max_piece_size;
-      ro.extra_blocklist = ctx.opts->recovery.extra_blocklist;
     }
     limits.budget = ctx.budget;
-    ro.language_salt = memo_language_salt();
 
-    Folder folder(text, limits, ctx, pure_memo_context(ro),
-                  std::move(mutated), stats, trace);
+    Folder folder(text, limits, ctx, std::move(mutated), stats, trace);
     std::vector<Replacement> repls = folder.run(program.stmts);
     if (repls.empty()) return std::string(text);
     return splice(text, std::move(repls));
@@ -650,12 +618,6 @@ class JsFrontend final : public LanguageFrontend {
       score += 0.15;
     }
     return score > 1.0 ? 1.0 : score;
-  }
-
-  [[nodiscard]] std::size_t memo_language_salt() const override {
-    // Arbitrary fixed nonzero constant (ASCII "javascri"), distinct from
-    // the reserved PowerShell salt 0.
-    return 0x6a61766173637269ull;
   }
 
  private:

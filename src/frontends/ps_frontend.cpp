@@ -50,7 +50,6 @@ class PsFrontend final : public LanguageFrontend {
     ro.memo = ctx.memo;
     ro.budget = ctx.budget;
     ro.fault = ctx.fault;
-    ro.language_salt = memo_language_salt();
     if (cache_ != nullptr) {
       const ps::ParseCache::Result parsed = cache_->get(text);
       return parsed.ast == nullptr
@@ -119,12 +118,6 @@ class PsFrontend final : public LanguageFrontend {
     // The default-language floor: ambiguous text stays PowerShell.
     if (score < 0.05) score = 0.05;
     return score > 1.0 ? 1.0 : score;
-  }
-
-  [[nodiscard]] std::size_t memo_language_salt() const override {
-    // 0, reserved: PowerShell memo fingerprints predate the front-end
-    // boundary and must stay byte-identical (the salt is XOR-mixed).
-    return 0;
   }
 
  private:

@@ -174,8 +174,7 @@ bool parse_options_object(const JsonValue& v, Options& out, std::string& error) 
   if (const JsonValue* rec = v.find("recovery"); rec != nullptr) {
     if (!rec->is_object()) return type_error(error, "recovery", "an object");
     if (!check_keys(*rec,
-                    {"trace_functions", "memo", "share_memo",
-                     "extra_blocklist"},
+                    {"trace_functions", "memo", "extra_blocklist"},
                     "options.recovery", error)) {
       return false;
     }
@@ -184,9 +183,6 @@ bool parse_options_object(const JsonValue& v, Options& out, std::string& error) 
       return false;
     }
     if (!read_bool(*rec, "memo", out.recovery.memo, error)) return false;
-    if (!read_bool(*rec, "share_memo", out.recovery.share_memo, error)) {
-      return false;
-    }
     if (const JsonValue* bl = rec->find("extra_blocklist"); bl != nullptr) {
       const JsonValue::Array* arr = bl->as_array();
       if (arr == nullptr) {
@@ -534,7 +530,6 @@ std::string render_request_line(const Request& request) {
     w.begin_object();
     w.field("trace_functions", o.recovery.trace_functions);
     w.field("memo", o.recovery.memo);
-    w.field("share_memo", o.recovery.share_memo);
     if (!o.recovery.extra_blocklist.empty()) {
       w.begin_array("extra_blocklist");
       for (const std::string& name : o.recovery.extra_blocklist) {

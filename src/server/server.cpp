@@ -745,8 +745,8 @@ struct Server::Impl {
     }
 
     // Hot-reloaded blocklist: applied by attaching the server's effective
-    // options to requests that carry none (the recovery memo fingerprints
-    // the blocklist, so this is output-correct without an engine rebuild).
+    // options to requests that carry none (the request then runs on its own
+    // pipeline configuration, so no engine rebuild is needed).
     if (blocklist_over && !item.request.options.has_value()) {
       item.request.options = cfg.options;
       item.request.options->recovery.extra_blocklist = std::move(blocklist);
@@ -957,7 +957,7 @@ struct Server::Impl {
                  static_cast<off_t>(slot) * kJournalRecordBytes);
   }
 
-  void process(Engine::Session& session, QueueItem& item, unsigned slot) {
+  void process(QueueItem& item, unsigned slot) {
     g_queue_depth->sub(1);
     // Queue wait: admission to worker-slot dispatch. Recorded straight into
     // the trace recorder (never via PhaseSpan, which would land it in the
@@ -1007,7 +1007,7 @@ struct Server::Impl {
       cfg.server_fault->inject(FaultSite::WorkerAbort, &item.request.source);
       cfg.server_fault->inject(FaultSite::WorkerHang, &item.request.source);
     }
-    Response response = session.handle(item.request, lim);
+    Response response = engine.handle(item.request, lim);
     journal_done(slot);
     flight.finish(flight_seq, status_of(response),
                   response.report.profile.total_seconds(
@@ -1062,10 +1062,9 @@ struct Server::Impl {
 
   void worker_slot(unsigned slot) {
     telemetry::set_current_shard(slot);
-    Engine::Session session = engine.session();
     QueueItem item;
     while (queue.pop(item)) {
-      process(session, item, slot);
+      process(item, slot);
       item = QueueItem{};  // drop conn/token references promptly
     }
   }

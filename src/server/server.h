@@ -19,12 +19,12 @@
 ///    outbuf_high_water_bytes; an idle connection is reaped after
 ///    idle_timeout_seconds. No reap ever blocks an event or worker thread;
 ///  - worker slots: `threads` long-lived items on ps::WorkerPool, each
-///    binding its telemetry shard and holding a warm Engine::Session (parse
-///    cache + recovery memo survive across requests — the whole point of a
-///    resident service);
+///    binding its telemetry shard and calling the one shared Engine (its
+///    parse cache stays warm across requests; every request's pipeline run
+///    owns its piece memo, so no response depends on an earlier one);
 ///  - per-request envelopes: deadline_ms and a per-item cancellation token
-///    thread straight into the PR-2 governor via
-///    Engine::Session::handle(request, limits). A client that disconnects
+///    thread straight into the governor via
+///    Engine::handle(request, limits). A client that disconnects
 ///    cancels its own in-flight work; a watchdog backstops runaway items at
 ///    deadline * watchdog_factor;
 ///  - graceful drain: SIGTERM/shutdown-op stops accepting, serves

@@ -1,9 +1,9 @@
 // Cache-equivalence suite: deobfuscating the checked-in regression corpus
-// with the parse cache enabled must yield byte-identical outputs and
-// identical DeobfuscationReport stats as with the cache disabled — the
-// caching layer is a pure performance optimization, so the semantics-
-// preservation and idempotence invariants (DESIGN.md invariants 2/4) are
-// unaffected by it.
+// with the parse cache and piece memo enabled must yield byte-identical
+// outputs and identical DeobfuscationReport stats, failure and rung as with
+// both disabled — the caching layers are pure performance optimizations, so
+// the semantics-preservation and idempotence invariants (DESIGN.md
+// invariants 2/4) are unaffected by them.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "core/deobfuscator.h"
+#include "corpus/corpus.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
 
@@ -61,6 +62,9 @@ void expect_reports_equal(const DeobfuscationReport& a,
   EXPECT_EQ(a.rename.functions_renamed, b.rename.functions_renamed)
       << "sample " << id;
   EXPECT_EQ(a.trace.size(), b.trace.size()) << "sample " << id;
+  EXPECT_STREQ(to_string(a.failure), to_string(b.failure)) << "sample " << id;
+  EXPECT_EQ(a.failure_detail, b.failure_detail) << "sample " << id;
+  EXPECT_EQ(a.degradation_rung, b.degradation_rung) << "sample " << id;
 }
 
 TEST(CacheEquivalence, CorpusOutputsAndReportsMatch) {
@@ -92,6 +96,29 @@ TEST(CacheEquivalence, CorpusOutputsAndReportsMatch) {
   // text the interpreter executes flows through the cache exactly once.)
   const auto stats = cached.parse_cache()->stats();
   EXPECT_GT(stats.hits, 0u);
+}
+
+TEST(CacheEquivalence, MemoOnOffMatchOnGeneratedCorpus) {
+  // The same engine serves the whole corpus, so any state a run leaked into
+  // the next would show up as a difference against the memo-off reference.
+  const InvokeDeobfuscator memo_on;
+  Options off_opts;
+  off_opts.recovery.memo = false;
+  const InvokeDeobfuscator memo_off(off_opts);
+  CorpusGenerator gen(3);
+  int failed = 0;
+  int id = 0;
+  for (const Sample& sample : gen.generate_batch(200)) {
+    DeobfuscationReport ra, rb;
+    const std::string with_memo = memo_on.deobfuscate(sample.obfuscated, ra);
+    const std::string without_memo =
+        memo_off.deobfuscate(sample.obfuscated, rb);
+    EXPECT_EQ(with_memo, without_memo) << "sample " << id;
+    expect_reports_equal(ra, rb, id);
+    if (ra.failure != FailureKind::None) ++failed;
+    ++id;
+  }
+  EXPECT_GT(failed, 0);  // a memo hit on a failed piece has no failure kind
 }
 
 TEST(CacheEquivalence, WarmCacheIsIdempotent) {

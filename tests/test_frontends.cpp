@@ -1,9 +1,7 @@
 // Tests for the language-frontend boundary: the registry and its request
 // validation, "auto" sniffing, PowerShell parity through the new dispatch
 // path, engine-level routing of Request::language (including the unknown-
-// language passthrough contract), the per-language memo salt (with the
-// collision regression that motivated it), and the per-language dispatch
-// counters.
+// language passthrough contract), and the per-language dispatch counters.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +10,6 @@
 #include <vector>
 
 #include "core/deobfuscator.h"
-#include "core/recovery.h"
 #include "frontends/frontend.h"
 #include "frontends/registry.h"
 #include "ideobf/api.h"
@@ -86,10 +83,9 @@ TEST(FrontendParity, DefaultDispatchMatchesExplicitPowershell) {
   DeobfuscationReport r3;
   const std::string via_default = deobf.deobfuscate(obf, r1);
   const std::string via_empty =
-      deobf.deobfuscate(obf, r2, deobf.options().limits, nullptr, "");
+      deobf.deobfuscate(obf, r2, deobf.options().limits, "");
   const std::string via_named =
-      deobf.deobfuscate(obf, r3, deobf.options().limits, nullptr,
-                        "powershell");
+      deobf.deobfuscate(obf, r3, deobf.options().limits, "powershell");
   EXPECT_EQ(via_default, via_empty);
   EXPECT_EQ(via_default, via_named);
   EXPECT_EQ(r1.degradation_rung, r3.degradation_rung);
@@ -114,7 +110,7 @@ TEST(FrontendRouting, JavascriptRequestsFoldUnderTheJsFrontend) {
   DeobfuscationReport report;
   const std::string out =
       deobf.deobfuscate("eval('con' + 'sole.log(\"hi\")');", report,
-                        deobf.options().limits, nullptr, "javascript");
+                        deobf.options().limits, "javascript");
   EXPECT_EQ(out, "console.log(\"hi\");");
   EXPECT_EQ(report.multilayer.layers_unwrapped, 1);
   EXPECT_EQ(report.degradation_rung, 0);
@@ -125,7 +121,7 @@ TEST(FrontendRouting, UnknownLanguageIsClassifiedPassthrough) {
   DeobfuscationReport report;
   const std::string src = "whatever source text";
   const std::string out = deobf.deobfuscate(
-      src, report, deobf.options().limits, nullptr, "klingon");
+      src, report, deobf.options().limits, "klingon");
   EXPECT_EQ(out, src);  // totality: misrouted input comes back unchanged
   EXPECT_EQ(report.failure, ps::FailureKind::Internal);
   EXPECT_EQ(report.degradation_rung, 3);
@@ -175,36 +171,6 @@ TEST(FrontendRouting, BatchRoutesPerItemLanguages) {
   EXPECT_EQ(responses[2].result, requests[2].source);
 }
 
-// ---------------------------------------------------------------- memo salt
-
-TEST(FrontendMemoSalt, EqualSaltsCollideDistinctSaltsDoNot) {
-  // The regression that motivated the per-language salt: two front-ends
-  // with identical recovery options produce the SAME memo context
-  // fingerprint, so identical piece bytes under different languages would
-  // alias to one memoized literal on the shared engine-global memo.
-  RecoveryOptions ps_opts;
-  RecoveryOptions js_opts;
-  ASSERT_EQ(ps_opts.language_salt, js_opts.language_salt);
-  EXPECT_EQ(pure_memo_context(ps_opts), pure_memo_context(js_opts));
-
-  // The fix: each front-end mixes its own salt into the fingerprint.
-  js_opts.language_salt = 0x6a61766173637269ull;  // the JS front-end's salt
-  EXPECT_NE(pure_memo_context(ps_opts), pure_memo_context(js_opts));
-}
-
-TEST(FrontendMemoSalt, BuiltinFrontendsCarryDistinctSalts) {
-  const InvokeDeobfuscator deobf;
-  const LanguageFrontend* ps = deobf.frontend("powershell");
-  const LanguageFrontend* js = deobf.frontend("javascript");
-  ASSERT_NE(ps, nullptr);
-  ASSERT_NE(js, nullptr);
-  // 0 is reserved for PowerShell: its memo fingerprints predate the
-  // front-end boundary and must stay byte-identical across the refactor.
-  EXPECT_EQ(ps->memo_language_salt(), 0u);
-  EXPECT_NE(js->memo_language_salt(), 0u);
-  EXPECT_NE(ps->memo_language_salt(), js->memo_language_salt());
-}
-
 // ---------------------------------------------------------------- counters
 
 TEST(FrontendCounters, PerLanguageRequestAndFailureLabels) {
@@ -213,12 +179,10 @@ TEST(FrontendCounters, PerLanguageRequestAndFailureLabels) {
 
   const InvokeDeobfuscator deobf;
   DeobfuscationReport report;
-  (void)deobf.deobfuscate("Write-Output 1", report, deobf.options().limits,
-                          nullptr, "");
-  (void)deobf.deobfuscate("f(1);", report, deobf.options().limits, nullptr,
-                          "javascript");
-  (void)deobf.deobfuscate("x", report, deobf.options().limits, nullptr,
-                          "klingon");
+  const Options::Limits& limits = deobf.options().limits;
+  (void)deobf.deobfuscate("Write-Output 1", report, limits, "");
+  (void)deobf.deobfuscate("f(1);", report, limits, "javascript");
+  (void)deobf.deobfuscate("x", report, limits, "klingon");
 
   auto& reg = telemetry::registry();
   EXPECT_EQ(reg.counter("ideobf_frontend_requests_total",
@@ -252,7 +216,7 @@ TEST(FrontendJsPhases, TokenPassRewritesBracketMembers) {
   DeobfuscationReport report;
   const std::string out = deobf.deobfuscate(
       "window[\"eval\"]('a[\"b\"]');", report, deobf.options().limits,
-      nullptr, "javascript");
+      "javascript");
   // The bracket-member alias was normalized on the wrapper, the layer
   // unwrapped, and the payload's own bracket member normalized in turn.
   EXPECT_EQ(out, "a.b;");
@@ -264,7 +228,7 @@ TEST(FrontendJsPhases, RenameReplacesKitIdentifiers) {
   DeobfuscationReport report;
   const std::string out = deobf.deobfuscate(
       "var _0x1a2b = external();\nuse(_0x1a2b);\n", report,
-      deobf.options().limits, nullptr, "javascript");
+      deobf.options().limits, "javascript");
   EXPECT_EQ(out.find("_0x1a2b"), std::string::npos);
   EXPECT_GE(report.rename.variables_renamed, 1);
 }
@@ -274,7 +238,7 @@ TEST(FrontendJsPhases, InvalidJsIsReturnedUnchanged) {
   DeobfuscationReport report;
   const std::string src = "var x = `template ${literal}`;";
   const std::string out = deobf.deobfuscate(
-      src, report, deobf.options().limits, nullptr, "javascript");
+      src, report, deobf.options().limits, "javascript");
   EXPECT_EQ(out, src);
 }
 

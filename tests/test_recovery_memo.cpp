@@ -3,14 +3,12 @@
 // interpreter, and every piece it calls pure must evaluate exactly as a
 // freshly seeded recovery interpreter would — same literals, same thrown
 // failure kinds, same step accounting — across the synthetic corpus. Plus
-// the sharded RecoveryMemo's thread-safety and the engine-global memo wiring.
+// RecoveryMemo's bookkeeping and the ladder counters in the report.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/blocklist.h"
@@ -420,70 +418,9 @@ TEST(RecoveryMemoTest, CapBoundsGrowth) {
   for (int i = 0; i < 20000; ++i) {
     memo.store(7, "piece-" + std::to_string(i), "'v'");
   }
-  // 16 shards x 512 entries: the pathological-script bound.
+  // The pathological-script bound.
   EXPECT_LE(memo.size(), 8192u);
   EXPECT_GT(memo.size(), 0u);
-}
-
-TEST(RecoveryMemoTest, ConcurrentStoresAndLookupsStayConsistent) {
-  ideobf::RecoveryMemo memo;
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 64;  // shared across threads: real contention
-  std::atomic<int> wrong{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&memo, &wrong] {
-      for (int round = 0; round < 400; ++round) {
-        const int k = round % kKeys;
-        const std::string piece = "piece-" + std::to_string(k);
-        const std::string literal = "'v" + std::to_string(k) + "'";
-        if (const auto hit = memo.lookup(static_cast<std::size_t>(k), piece)) {
-          // Every writer stores the same value for a key, so a hit may only
-          // ever observe that value — torn or mixed entries are bugs.
-          if (*hit != literal) wrong.fetch_add(1);
-        } else {
-          memo.store(static_cast<std::size_t>(k), piece, literal);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_LE(memo.size(), static_cast<std::size_t>(kKeys));
-  for (int k = 0; k < kKeys; ++k) {
-    const auto hit =
-        memo.lookup(static_cast<std::size_t>(k), "piece-" + std::to_string(k));
-    ASSERT_TRUE(hit.has_value()) << k;
-    EXPECT_EQ(*hit, "'v" + std::to_string(k) + "'");
-  }
-}
-
-TEST(RecoveryMemoTest, EngineGlobalMemoSpansCalls) {
-  // With share_memo (the default) the engine owns one memo across calls:
-  // a second deobfuscation of the same script must answer every piece
-  // lookup from the memo populated by the first.
-  ideobf::CorpusGenerator gen(7);
-  const std::string script = gen.generate().obfuscated;
-
-  ideobf::InvokeDeobfuscator engine;
-  ideobf::DeobfuscationReport first, second;
-  const std::string out1 = engine.deobfuscate(script, first);
-  const std::string out2 = engine.deobfuscate(script, second);
-  EXPECT_EQ(out1, out2);
-  EXPECT_GT(second.recovery.memo_hits, 0);
-  EXPECT_EQ(second.recovery.memo_misses, 0);
-
-  // Opting out reverts to a per-run memo: the second call misses again.
-  ideobf::Options isolated;
-  isolated.recovery.share_memo = false;
-  ideobf::InvokeDeobfuscator private_engine(isolated);
-  ideobf::DeobfuscationReport p1, p2;
-  const std::string pout1 = private_engine.deobfuscate(script, p1);
-  const std::string pout2 = private_engine.deobfuscate(script, p2);
-  EXPECT_EQ(pout1, pout2);
-  EXPECT_EQ(pout1, out1);  // sharing never changes output
-  EXPECT_EQ(p2.recovery.memo_misses, p1.recovery.memo_misses);
 }
 
 TEST(RecoveryMemoTest, LadderStatsSurfaceInTheReport) {
