@@ -54,6 +54,50 @@ bool tickable(char c) {
   }
 }
 
+/// Replace-technique helpers: `text` with every `target` swapped for
+/// `marker`, and the literal left-to-right String.Replace that undoes it.
+std::string punch_holes(std::string_view text, char target, std::string_view marker) {
+  std::string holed;
+  for (char c : text) {
+    if (c == target) holed += marker;
+    else holed.push_back(c);
+  }
+  return holed;
+}
+
+std::string fill_holes(std::string_view holed, std::string_view marker, char target) {
+  std::string out;
+  std::size_t pos = 0;
+  for (std::size_t hit = holed.find(marker); hit != std::string_view::npos;
+       hit = holed.find(marker, pos)) {
+    out.append(holed, pos, hit - pos);
+    out.push_back(target);
+    pos = hit + marker.size();
+  }
+  out.append(holed, pos, std::string_view::npos);
+  return out;
+}
+
+/// Bound on marker lengthening; only a text that holds every pad
+/// character can need more than one step.
+constexpr std::size_t kMaxMarkerPad = 16;
+
+/// The character that lengthens a colliding marker: the first pad
+/// character found in neither the text nor the marker, which makes the
+/// marker's last character occur in the holed text only where a marker
+/// ends, so every match is a punched hole. Cycles through the pads when
+/// the text holds them all.
+char marker_pad(std::string_view text, std::string_view marker, std::size_t step) {
+  static constexpr std::string_view kPads =
+      "bcdfghjklmnpqrstvwxzBCDFGHJKLMNPQRSTVWXZ0123456789_~#@!%^&*";
+  for (char c : kPads) {
+    if (text.find(c) == std::string_view::npos && marker.find(c) == std::string_view::npos) {
+      return c;
+    }
+  }
+  return kPads[step % kPads.size()];
+}
+
 }  // namespace
 
 Obfuscator::Obfuscator(std::uint64_t seed) : rng_(seed) {}
@@ -310,10 +354,15 @@ std::string Obfuscator::obfuscate_literal(Technique t, std::string_view content)
       do {
         marker = random_identifier(3, 4);
       } while (text.find(marker) != std::string::npos);
-      std::string holed;
-      for (char c : text) {
-        if (c == target) holed += marker;
-        else holed.push_back(c);
+      std::string holed = punch_holes(text, target, marker);
+      // Absent from the text, the marker can still form across its
+      // neighbours once the holes are punched ('Bs'+'sss' reads 'sss' one
+      // character early). Lengthen it without drawing from the RNG until
+      // restoring it left to right gives the text back.
+      for (std::size_t pad = 0; fill_holes(holed, marker, target) != text; ++pad) {
+        if (pad == kMaxMarkerPad) return quote_single(text);
+        marker.push_back(marker_pad(text, marker, pad));
+        holed = punch_holes(text, target, marker);
       }
       std::string target_literal;
       if (target == '\'') {

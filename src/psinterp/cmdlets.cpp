@@ -3,12 +3,12 @@
 // New-Object, ConvertTo-SecureString, ...) that obfuscated scripts drive.
 
 #include <algorithm>
-#include <regex>
 
 #include "pslang/alias_table.h"
 #include "psinterp/aes.h"
 #include "psinterp/interpreter.h"
 #include "psinterp/objects.h"
+#include "psinterp/pattern.h"
 
 namespace ps {
 
@@ -299,11 +299,11 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
   if (name == "select-string") {
     const std::string pattern = arg_or_param({"pattern"}).to_display_string();
     try {
-      const std::regex re(pattern, std::regex::ECMAScript | std::regex::icase);
+      const Pattern re(pattern, true);
       for (const Value& v : call.input) {
-        if (std::regex_search(v.to_display_string(), re)) out.push_back(v);
+        if (re.search(v.to_display_string())) out.push_back(v);
       }
-    } catch (const std::regex_error&) {
+    } catch (const PatternError&) {
       throw EvalError("bad pattern for Select-String");
     }
     return;

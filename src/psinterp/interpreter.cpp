@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <regex>
 
 #include "pslang/alias_table.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
 #include "psinterp/objects.h"
+#include "psinterp/pattern.h"
 
 namespace ps {
 
@@ -34,28 +34,34 @@ std::vector<Value> flatten_stream(const Value& v) {
 
 Interpreter::Interpreter(InterpreterOptions opts) : opts_(std::move(opts)) {
   scopes_.emplace_back();
-  install_defaults();
 }
 
 Interpreter::~Interpreter() = default;
 
-void Interpreter::install_defaults() {
-  env_["comspec"] = "C:\\Windows\\system32\\cmd.exe";
-  env_["windir"] = "C:\\Windows";
-  env_["temp"] = "C:\\Users\\user\\AppData\\Local\\Temp";
-  env_["tmp"] = env_["temp"];
-  env_["username"] = "user";
-  env_["computername"] = "DESKTOP-SIM";
-  env_["public"] = "C:\\Users\\Public";
-  env_["appdata"] = "C:\\Users\\user\\AppData\\Roaming";
-  env_["localappdata"] = "C:\\Users\\user\\AppData\\Local";
-  env_["programdata"] = "C:\\ProgramData";
-  env_["userprofile"] = "C:\\Users\\user";
-  env_["homepath"] = "\\Users\\user";
-  env_["systemroot"] = "C:\\Windows";
-  env_["processor_architecture"] = "AMD64";
-  env_["psmodulepath"] =
-      "C:\\Users\\user\\Documents\\WindowsPowerShell\\Modules";
+const std::string* Interpreter::find_env(const std::string& lower_name) const {
+  auto it = env_.find(lower_name);
+  if (it != env_.end()) return &it->second;
+  // The simulated host's environment: built once, shared read-only by every
+  // interpreter; env_ holds only what a script wrote.
+  static const std::map<std::string, std::string> kDefaults = {
+      {"comspec", "C:\\Windows\\system32\\cmd.exe"},
+      {"windir", "C:\\Windows"},
+      {"temp", "C:\\Users\\user\\AppData\\Local\\Temp"},
+      {"tmp", "C:\\Users\\user\\AppData\\Local\\Temp"},
+      {"username", "user"},
+      {"computername", "DESKTOP-SIM"},
+      {"public", "C:\\Users\\Public"},
+      {"appdata", "C:\\Users\\user\\AppData\\Roaming"},
+      {"localappdata", "C:\\Users\\user\\AppData\\Local"},
+      {"programdata", "C:\\ProgramData"},
+      {"userprofile", "C:\\Users\\user"},
+      {"homepath", "\\Users\\user"},
+      {"systemroot", "C:\\Windows"},
+      {"processor_architecture", "AMD64"},
+      {"psmodulepath", "C:\\Users\\user\\Documents\\WindowsPowerShell\\Modules"},
+  };
+  auto d = kDefaults.find(lower_name);
+  return d != kDefaults.end() ? &d->second : nullptr;
 }
 
 // --------------------------------------------------------------- variables
@@ -107,8 +113,7 @@ Value Interpreter::eval_variable(const VariableExpressionAst& var) {
   const std::string scope = var.scope_qualifier();
   const std::string bare = var.bare_name();
   if (scope == "env") {
-    auto it = env_.find(bare);
-    if (it != env_.end()) return Value(it->second);
+    if (const std::string* value = find_env(bare)) return Value(*value);
     if (opts_.strict_variables) throw EvalError("unknown env variable: " + bare);
     return Value(std::string());
   }
@@ -823,16 +828,14 @@ Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
     const std::string pattern = rhs.to_display_string();
     Array out;
     try {
-      auto flags = std::regex::ECMAScript;
-      if (op != "-csplit") flags |= std::regex::icase;
-      const std::regex re(pattern, flags);
+      const Pattern re(pattern, op != "-csplit");
       // An array left operand splits each element and flattens the results.
       for (const Value& item : lhs.is_array() ? lhs.get_array() : Array{lhs}) {
-        const std::string text = item.to_display_string();
-        std::sregex_token_iterator it(text.begin(), text.end(), re, -1), end;
-        for (; it != end; ++it) out.push_back(Value(std::string(*it)));
+        for (std::string& field : re.split(item.to_display_string())) {
+          out.push_back(Value(std::move(field)));
+        }
       }
-    } catch (const std::regex_error&) {
+    } catch (const PatternError&) {
       throw EvalError("bad split pattern: " + pattern);
     }
     return Value(std::move(out));
@@ -850,11 +853,8 @@ Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
     }
     auto apply = [&](const std::string& text) -> std::string {
       try {
-        auto flags = std::regex::ECMAScript;
-        if (op != "-creplace") flags |= std::regex::icase;
-        const std::regex re(pattern, flags);
-        return std::regex_replace(text, re, replacement);
-      } catch (const std::regex_error&) {
+        return Pattern(pattern, op != "-creplace").replace(text, replacement);
+      } catch (const PatternError&) {
         throw EvalError("bad replace pattern: " + pattern);
       }
     };
@@ -868,14 +868,12 @@ Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
   if (op == "-match" || op == "-notmatch" || op == "-cmatch" || op == "-imatch") {
     const bool negate = op == "-notmatch";
     const std::string pattern = rhs.to_display_string();
-    auto match_one = [&](const std::string& text, std::smatch* m) {
+    auto match_one = [&](const std::string& text, std::vector<std::string>* groups) {
       try {
-        auto flags = std::regex::ECMAScript;
-        if (op != "-cmatch") flags |= std::regex::icase;
-        const std::regex re(pattern, flags);
-        if (m != nullptr) return std::regex_search(text, *m, re);
-        return std::regex_search(text, re);
-      } catch (const std::regex_error&) {
+        const Pattern re(pattern, op != "-cmatch");
+        if (groups != nullptr) return re.search(text, *groups);
+        return re.search(text);
+      } catch (const PatternError&) {
         throw EvalError("bad match pattern: " + pattern);
       }
     };
@@ -887,14 +885,14 @@ Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
       return Value(std::move(out));
     }
     const std::string text = lhs.to_display_string();
-    std::smatch m;
-    const bool hit = match_one(text, &m);
+    std::vector<std::string> groups;
+    const bool hit = match_one(text, &groups);
     if (hit && !negate) {
       // A successful scalar -match populates $matches with the groups.
       Hashtable ht;
-      for (std::size_t g = 0; g < m.size(); ++g) {
+      for (std::size_t g = 0; g < groups.size(); ++g) {
         ht.entries.emplace_back(Value(static_cast<std::int64_t>(g)),
-                                Value(m[g].str()));
+                                Value(std::move(groups[g])));
       }
       assign_variable("matches", Value(std::move(ht)));
     }

@@ -189,12 +189,14 @@ class Interpreter {
   };
   std::vector<Scope> scopes_;
   std::map<std::string, Value> globals_;
-  std::map<std::string, std::string> env_;  ///< lowercase name -> value
+  std::map<std::string, std::string> env_;  ///< script writes: lowercase name -> value
   std::map<std::string, std::string> virtual_fs_;  ///< lowercase path -> content
   std::map<std::string, FunctionInfo> functions_;
   std::map<std::string, std::string> user_aliases_;
 
-  void install_defaults();
+  /// A `$env:` read: the script's own writes first, then the shared
+  /// defaults. Null when neither has the (lowercase) name.
+  const std::string* find_env(const std::string& lower_name) const;
 
   Value* find_variable(const std::string& lower_name);
   const Value* find_variable(const std::string& lower_name) const;

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <regex>
 
 #include "pslang/alias_table.h"
 #include "psinterp/aes.h"
 #include "psinterp/deflate.h"
 #include "psinterp/interpreter.h"
 #include "psinterp/objects.h"
+#include "psinterp/pattern.h"
 
 namespace ps {
 
@@ -778,9 +778,8 @@ Value Interpreter::static_invoke(const std::string& type_name,
 
   if (t == "environment") {
     if (m == "getenvironmentvariable" && !args.empty()) {
-      const std::string name = to_lower(args[0].to_display_string());
-      auto it = env_.find(name);
-      return Value(it != env_.end() ? it->second : std::string());
+      const std::string* value = find_env(to_lower(args[0].to_display_string()));
+      return Value(value != nullptr ? *value : std::string());
     }
     if (m == "getfolderpath" && !args.empty()) {
       return Value(std::string("C:\\Users\\user\\") + args[0].to_display_string());
@@ -818,12 +817,10 @@ Value Interpreter::static_invoke(const std::string& type_name,
       }
       Array out;
       try {
-        const std::regex re(pattern, std::regex::ECMAScript);
-        auto begin = std::sregex_iterator(input.begin(), input.end(), re);
-        for (auto it = begin; it != std::sregex_iterator(); ++it) {
-          out.push_back(Value(it->str()));
+        for (std::string& match : Pattern(pattern, false).matches(input)) {
+          out.push_back(Value(std::move(match)));
         }
-      } catch (const std::regex_error&) {
+      } catch (const PatternError&) {
         throw EvalError("bad regex " + pattern);
       }
       if (right_to_left) std::reverse(out.begin(), out.end());
@@ -832,10 +829,9 @@ Value Interpreter::static_invoke(const std::string& type_name,
     if (m == "replace") {
       if (args.size() < 3) throw EvalError("Regex.Replace needs 3 args");
       try {
-        const std::regex re(args[1].to_display_string(), std::regex::ECMAScript);
-        return Value(std::regex_replace(args[0].to_display_string(), re,
-                                        args[2].to_display_string()));
-      } catch (const std::regex_error&) {
+        const Pattern re(args[1].to_display_string(), false);
+        return Value(re.replace(args[0].to_display_string(), args[2].to_display_string()));
+      } catch (const PatternError&) {
         throw EvalError("bad regex");
       }
     }
@@ -843,12 +839,12 @@ Value Interpreter::static_invoke(const std::string& type_name,
       if (args.size() < 2) throw EvalError("Regex.Split needs 2 args");
       const std::string input = args[0].to_display_string();
       try {
-        const std::regex re(args[1].to_display_string(), std::regex::ECMAScript);
         Array out;
-        std::sregex_token_iterator it(input.begin(), input.end(), re, -1), end;
-        for (; it != end; ++it) out.push_back(Value(std::string(*it)));
+        for (std::string& field : Pattern(args[1].to_display_string(), false).split(input)) {
+          out.push_back(Value(std::move(field)));
+        }
         return Value(std::move(out));
-      } catch (const std::regex_error&) {
+      } catch (const PatternError&) {
         throw EvalError("bad regex");
       }
     }

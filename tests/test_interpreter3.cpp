@@ -56,6 +56,36 @@ TEST(Interp3, HereDoubleInterpolates) {
   EXPECT_EQ(run_str("$x = 'X'; @\"\nval $x\n\"@"), "val X");
 }
 
+// ------------------------------------------------- default environment
+
+TEST(Interp3, DefaultEnvironmentValues) {
+  EXPECT_EQ(run_str("$env:ComSpec"), "C:\\Windows\\system32\\cmd.exe");
+  EXPECT_EQ(run_str("[Environment]::GetEnvironmentVariable('TEMP')"),
+            "C:\\Users\\user\\AppData\\Local\\Temp");
+  EXPECT_EQ(run_str("$env:tmp"), "C:\\Users\\user\\AppData\\Local\\Temp");
+  EXPECT_EQ(run_str("[Environment]::GetEnvironmentVariable('nope')"), "");
+}
+
+TEST(Interp3, EnvWriteStaysInItsInterpreter) {
+  Interpreter first;
+  EXPECT_EQ(first.evaluate_script("$env:temp = 'x'; $env:TEMP").to_display_string(), "x");
+  EXPECT_EQ(first.evaluate_script("[Environment]::GetEnvironmentVariable('Temp')")
+                .to_display_string(),
+            "x");
+  Interpreter second;
+  EXPECT_EQ(second.evaluate_script("$env:temp").to_display_string(),
+            "C:\\Users\\user\\AppData\\Local\\Temp");
+}
+
+TEST(Interp3, UnknownStrictEnvReadThrows) {
+  InterpreterOptions opts;
+  opts.strict_variables = true;
+  Interpreter interp(opts);
+  EXPECT_THROW(interp.evaluate_script("$env:NoSuchVariable"), EvalError);
+  EXPECT_EQ(interp.evaluate_script("$env:username").to_display_string(), "user");
+  EXPECT_EQ(interp.evaluate_script("$env:custom = 'v'; $env:custom").to_display_string(), "v");
+}
+
 // --------------------------------------------------------- deep chains
 
 TEST(Interp3, Base64OfBase64) {

@@ -205,5 +205,58 @@ TEST(Obfuscator, Deterministic) {
   }
 }
 
+/// The marker of a `('holed'.Replace('marker', ...))` expression.
+std::string replace_marker(const std::string& expr) {
+  const std::size_t at = expr.find(".Replace('") + 10;
+  return expr.substr(at, expr.find('\'', at) - at);
+}
+
+// Property: a Replace-obfuscated literal evaluates back to exactly its
+// text. A marker absent from the text can still form across a punched hole
+// and its neighbours when it overlaps itself ('Bs' + 'sss' reads 'sss' one
+// character early). For a fixed seed and text length the marker draw does
+// not depend on the text, so each seed is probed once with a neutral text;
+// when the marker has a border, the text is rebuilt as holes followed by
+// the marker's tail after that border, the arrangement that forms it.
+TEST(Obfuscator, ReplaceMarkerNeverFormsAcrossHoles) {
+  constexpr std::size_t kLen = 8;
+  int adversarial = 0;
+  int lengthened = 0;
+  for (std::uint64_t seed = 0; seed < 4000; ++seed) {
+    const std::string marker =
+        replace_marker(Obfuscator(seed).obfuscate_literal(Technique::Replace,
+                                                          std::string(kLen, '#')));
+    std::size_t border = 0;
+    for (std::size_t b = marker.size() - 1; b > 0 && border == 0; --b) {
+      if (marker.compare(0, b, marker, marker.size() - b, b) == 0) border = b;
+    }
+    if (border == 0) continue;
+    std::string text;
+    while (text.size() < kLen) text += "#" + marker.substr(border);
+    text.resize(kLen);
+    const std::string expr = Obfuscator(seed).obfuscate_literal(Technique::Replace, text);
+    ps::Interpreter interp;
+    EXPECT_EQ(interp.evaluate_script(expr).to_display_string(), text) << expr;
+    ++adversarial;
+    if (replace_marker(expr).size() > marker.size()) ++lengthened;
+  }
+  EXPECT_GT(adversarial, 20);
+  EXPECT_GT(lengthened, 0);
+}
+
+TEST(Obfuscator, ReplaceMarkerIsRestoredByLiteralReplace) {
+  // A text holding every pad character still round-trips.
+  std::string text;
+  for (char c : std::string_view("bcdfghjklmnpqrstvwxzBCDFGHJKLMNPQRSTVWXZ0123456789_~#@!%^&*")) {
+    text += std::string(3, c);
+  }
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    Obfuscator obf(seed);
+    const std::string expr = obf.obfuscate_literal(Technique::Replace, text);
+    ps::Interpreter interp;
+    EXPECT_EQ(interp.evaluate_script(expr).to_display_string(), text) << expr;
+  }
+}
+
 }  // namespace
 }  // namespace ideobf
