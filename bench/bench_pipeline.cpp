@@ -1,6 +1,6 @@
 // End-to-end pipeline throughput benchmark for the parse-once pipeline and
 // the batch worker pool: single-script latency and parses-per-deobfuscation
-// with the parse cache off / cold / warm, plus deobfuscate_batch throughput
+// with the parse cache off / on, plus deobfuscate_batch throughput
 // across thread counts over a synthetic corpus (hundreds of scripts from
 // the seeded Fig-6 generator). `--json` writes BENCH_pipeline.json at the
 // repo root so the perf trajectory is tracked PR over PR; `--smoke` runs a
@@ -17,8 +17,8 @@
 // (opens == closes), parse-cache counter reconciliation, self-time
 // partition of the pipeline total, that telemetry left off costs nothing
 // measurable, and that the ladder accounts for every piece execution (with
-// the fold stage live). The cache_warm and server_warm rows and the memo
-// hit rate are reported, not gated.
+// the fold stage live). The server_warm row and the memo hit rate are
+// reported, not gated.
 //
 // A storm section drives the epoll I/O core directly: connection churn
 // (conns/sec), ~1k concurrent clients with p50/p99 round-trip latency
@@ -86,7 +86,7 @@ namespace {
 using namespace ideobf;
 
 struct Row {
-  std::string config;   ///< cache_off / cache_cold / cache_warm / batch_*
+  std::string config;   ///< cache_off / cache_cold / batch_* / server_*
   unsigned threads = 1;
   bool warm = false;
   double seconds = 0.0;
@@ -121,8 +121,10 @@ Row run_serial(const InvokeDeobfuscator& deobf,
   Row row;
   row.config = std::move(config);
   row.warm = warm;
-  const auto hits0 =
-      deobf.parse_cache() != nullptr ? deobf.parse_cache()->stats() : ps::ParseCacheStats{};
+  // Per-run parse tables add their counts to the engine's counts sink.
+  const std::shared_ptr<ps::ParseCache>& counts =
+      deobf.options().shared_parse_cache;
+  const auto hits0 = counts != nullptr ? counts->stats() : ps::ParseCacheStats{};
   const auto parses0 = ps::parse_call_count();
   const double t0 = now_seconds();
   for (const std::string& s : scripts) {
@@ -134,8 +136,8 @@ Row run_serial(const InvokeDeobfuscator& deobf,
   row.ms_per_script = row.seconds * 1000.0 / scripts.size();
   row.scripts_per_second = scripts.size() / row.seconds;
   row.parses_per_script = static_cast<double>(row.parses) / scripts.size();
-  if (deobf.parse_cache() != nullptr) {
-    const auto stats = deobf.parse_cache()->stats();
+  if (counts != nullptr) {
+    const auto stats = counts->stats();
     row.cache_hits = stats.hits - hits0.hits;
     row.cache_misses = stats.misses - hits0.misses;
   }
@@ -263,10 +265,8 @@ TelemetrySummary run_telemetry_section(
   // Cold window: the prime run of this fresh engine. The ladder counters
   // and per-stage latency split are captured here, before the registry is
   // reset for the warm-batch window below. The per-script profiles are
-  // merged into the section's phase breakdown: Lex and Parse spans only
-  // exist on parse-cache misses, and the warm batch below never misses, so
-  // without the cold window the breakdown reported zero lex / parse time
-  // forever (a real reporting bug — the JSON said parsing was free).
+  // merged into the section's phase breakdown, so the breakdown covers the
+  // first pass over the corpus as well as the warm batch below.
   tel::Telemetry::metrics().reset();
   tel::Telemetry::enable();
   for (const std::string& s : scripts) {
@@ -1361,26 +1361,17 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
 
   std::vector<Row> rows;
 
-  // Size the cache to the corpus working set (~16 intermediate texts per
-  // script): an LRU sized below it measures eviction churn, not the
-  // pipeline. A triage server sizes its cache the same way.
-  const std::size_t cache_entries =
-      std::max<std::size_t>(1024, corpus_size * 24);
-  const auto make_cached = [&] {
-    Options opts;
-    opts.shared_parse_cache = std::make_shared<ps::ParseCache>(cache_entries);
-    return InvokeDeobfuscator(opts);
-  };
-
   Options uncached_opts;
   uncached_opts.parse_cache = false;
-  uncached_opts.recovery.memo = false;  // seed behavior: no cache, no memo
+  uncached_opts.recovery.memo = false;  // no parse table, no memo
   rows.push_back(run_serial(InvokeDeobfuscator(uncached_opts), scripts,
                             "cache_off", false));
 
-  const InvokeDeobfuscator cached = make_cached();
-  rows.push_back(run_serial(cached, scripts, "cache_cold", false));
-  rows.push_back(run_serial(cached, scripts, "cache_warm", true));
+  // Parses live for one run, so nothing warms across calls: one cached row.
+  Options cached_opts;
+  cached_opts.shared_parse_cache = std::make_shared<ps::ParseCache>();
+  rows.push_back(run_serial(InvokeDeobfuscator(cached_opts), scripts,
+                            "cache_cold", false));
 
   std::vector<unsigned> thread_counts;
   for (unsigned t = 1; t < max_threads; t *= 2) thread_counts.push_back(t);
@@ -1388,8 +1379,7 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
 
   double warm_1t_seconds = 0.0;
   for (unsigned threads : thread_counts) {
-    // A fresh shared cache per thread count keeps the cold rows comparable.
-    const InvokeDeobfuscator batch_deobf = make_cached();
+    const InvokeDeobfuscator batch_deobf;
     rows.push_back(run_batch(batch_deobf, scripts, threads, false));
     rows.back().config = "batch_cold";
     rows.push_back(run_batch(batch_deobf, scripts, threads, true));
@@ -1412,7 +1402,7 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   // items expected — this row tracks the governor's overhead and proves the
   // ladder stays on rung 0 for well-behaved input.
   {
-    const InvokeDeobfuscator governed_deobf = make_cached();
+    const InvokeDeobfuscator governed_deobf;
     Options::Limits governor;
     governor.deadline_seconds = 10.0;
     rows.push_back(run_batch(governed_deobf, scripts, 4, false, governor));
@@ -1428,7 +1418,7 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   // Telemetry section: one enabled batch (phase breakdown + registry
   // rates) bracketed by disabled warm-serial samples (the overhead ratio).
   const TelemetrySummary ts =
-      run_telemetry_section(make_cached(), scripts, rows, 4);
+      run_telemetry_section(InvokeDeobfuscator(), scripts, rows, 4);
 
   // Server section: warm `ideobf serve` round trips vs one-shot CLI spawns.
   const ServerSummary ss = run_server_section(scripts, rows);
@@ -1563,8 +1553,8 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
     rc = 1;
   }
 
-  // Acceptance gate 1: the parse-once pipeline must at least halve the
-  // parses per deobfuscation relative to the uncached seed behavior.
+  // Acceptance gate 1: the parse table must at least halve the parses per
+  // deobfuscation relative to re-parsing at every step.
   if (reduction < 2.0) {
     std::fprintf(stderr, "FAIL: parse reduction %.2fx < 2x\n", reduction);
     rc = 1;
@@ -1596,8 +1586,8 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   if (smoke && IDEOBF_SANITIZED) {
     std::printf("thread-scaling gate: skipped under sanitizers\n");
   } else if (smoke) {
-    const InvokeDeobfuscator scale_deobf = make_cached();
-    (void)run_batch(scale_deobf, scripts, 4, false);  // prime the cache
+    const InvokeDeobfuscator scale_deobf;
+    (void)run_batch(scale_deobf, scripts, 4, false);  // prime the pool
     const double s1 = best_warm_batch_seconds(scale_deobf, scripts, 1, 3);
     const double s4 = best_warm_batch_seconds(scale_deobf, scripts, 4, 3);
     std::printf("thread-scaling gate: warm 1t %.3fs vs 4t %.3fs (%.2fx)\n",

@@ -79,9 +79,9 @@ struct Response {
   std::string id;
 };
 
-/// The engine behind every entry point: owns the configured options and the
-/// shared parse cache, and serves Requests. The parse cache is the only
-/// state one request leaves for the next, and it never changes a response.
+/// The engine behind every entry point: owns the configured options and
+/// serves Requests. Every request's pipeline run owns its piece memo and
+/// parse table, so one request leaves no state for the next.
 /// Const-callable from any number of threads; `handle` seals exceptions (a
 /// hostile input degrades its own response, it never throws).
 class Engine {

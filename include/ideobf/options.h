@@ -37,10 +37,11 @@ struct Options {
   bool multilayer = true;
   bool rename = true;
   bool reformat = true;
-  /// Parse-once pipeline: share one parse of every intermediate text across
-  /// the per-step syntax checks, the phases' AST inputs, and the multilayer
-  /// recursion. Disabling re-parses at every step; output and report are
-  /// identical either way.
+  /// Parse-once pipeline: each run keeps a table of its parses, so one parse
+  /// of every intermediate text serves the per-step syntax checks, the
+  /// phases' AST inputs, the multilayer recursion and the interpreter's
+  /// script-block parses. Disabling re-parses at every step; output and
+  /// report are identical either way.
   bool parse_cache = true;
   /// Concurrent executors for batch/server execution (pool slots);
   /// 0 picks the hardware concurrency. Ignored by one-shot calls.
@@ -118,9 +119,13 @@ struct Options {
   } recovery;
 
   // --- Shared infrastructure ----------------------------------------------
-  /// Optional externally shared parse cache (e.g. one cache across a whole
-  /// batch or several engines). When null and `parse_cache` is true, the
-  /// engine creates a private one.
+  /// Optional counts-only sink. Parses are never shared across runs: each
+  /// run parses through its own table and releases it when it ends. When
+  /// this is set (and `parse_cache` is true), every run adds its table's
+  /// hits, misses and bypasses here, so `shared_parse_cache->stats()` sums
+  /// the runs of a batch or an engine. Nothing is stored in it. Kept only
+  /// for the repository benchmark, which reads those counts; its removal
+  /// waits for the next benchmark change.
   std::shared_ptr<ps::ParseCache> shared_parse_cache;
   /// Optional fault injector (compiled in always, enabled by setting this).
   /// Non-owning; must outlive the engine. With no armed fault the output is

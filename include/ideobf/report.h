@@ -36,6 +36,9 @@ struct RecoveryStats {
   /// readers of the report keep compiling.
   int bytecode_execs = 0;
   int treewalk_fallbacks = 0;     ///< memo misses tree-walked (impure pieces)
+  /// Piece and assignment evaluations that parsed their rewritten text
+  /// instead of evaluating their own subtree (the parse path).
+  int pieces_reparsed = 0;
   /// Most severe per-piece failure seen (failure_severity order); the
   /// governor surfaces it as the item classification when nothing worse
   /// aborted the run.

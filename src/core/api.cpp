@@ -47,8 +47,8 @@ namespace {
 
 /// The one code path every entry point funnels through: resolves the
 /// request's effective options/envelope, runs the pipeline (through a
-/// temporary deobfuscator sharing the base parse cache when the request
-/// overrides pipeline options), and seals exceptions — a hostile input
+/// temporary deobfuscator when the request overrides pipeline options),
+/// and seals exceptions — a hostile input
 /// degrades its own response, it never throws.
 Response handle_one(const Options& base, const InvokeDeobfuscator& deobf,
                     const Request& request,
@@ -62,9 +62,6 @@ Response handle_one(const Options& base, const InvokeDeobfuscator& deobf,
   Options::Limits limits = base.limits;
   if (needs_pipeline_override(request, base)) {
     Options options = resolve_options(request, base);
-    if (options.parse_cache && options.shared_parse_cache == nullptr) {
-      options.shared_parse_cache = deobf.parse_cache();
-    }
     limits = options.limits;
     custom.emplace(std::move(options));
     engine = &*custom;

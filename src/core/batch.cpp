@@ -158,17 +158,11 @@ std::vector<std::string> deobfuscate_batch_items(
       Options::Limits lim =
           item_governed ? spec.limits : deobf.options().limits;
       if (item_governed) lim.cancel = tokens[i];
-      // Per-item pipeline override: a temporary deobfuscator sharing the
-      // base parse cache, so cross-request parse reuse survives the
-      // override.
+      // Per-item pipeline override: a temporary deobfuscator.
       std::optional<InvokeDeobfuscator> custom;
       const InvokeDeobfuscator* engine = &deobf;
       if (spec.options_override != nullptr) {
-        Options o = *spec.options_override;
-        if (o.parse_cache && o.shared_parse_cache == nullptr) {
-          o.shared_parse_cache = deobf.parse_cache();
-        }
-        custom.emplace(std::move(o));
+        custom.emplace(*spec.options_override);
         engine = &*custom;
       }
       results[i] =

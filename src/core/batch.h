@@ -2,8 +2,8 @@
 
 /// \file batch.h
 /// Thread-parallel batch deobfuscation. InvokeDeobfuscator is const-callable
-/// from any number of threads (its parse cache is thread-safe and shared),
-/// so a corpus (triage queues routinely see thousands of samples) shards
+/// from any number of threads (each run owns its memo and parse table), so
+/// a corpus (triage queues routinely see thousands of samples) shards
 /// cleanly across worker threads.
 ///
 /// Execution model: items run on the process-lifetime work-stealing
@@ -81,8 +81,8 @@ struct BatchItemSpec {
   Options::Limits limits{};
   /// Optional full pipeline-options override for this item (how the server
   /// honors per-request options). The worker builds a temporary
-  /// InvokeDeobfuscator sharing `deobf`'s parse cache. Not owned; null uses
-  /// `deobf` as configured.
+  /// InvokeDeobfuscator from it. Not owned; null uses `deobf` as
+  /// configured.
   const Options* options_override = nullptr;
   /// Front-end language for this item ("" = default, "auto" = sniffed, or
   /// a registered name). Not owned; must outlive the batch call.

@@ -9,6 +9,7 @@
 #include "core/failure.h"
 #include "core/fault.h"
 #include "frontends/registry.h"
+#include "psast/parse_cache.h"
 
 namespace ideobf {
 
@@ -29,6 +30,7 @@ void merge(RecoveryStats& into, const RecoveryStats& from) {
   into.memo_misses += from.memo_misses;
   into.pieces_folded += from.pieces_folded;
   into.treewalk_fallbacks += from.treewalk_fallbacks;
+  into.pieces_reparsed += from.pieces_reparsed;
   into.worst_failure = ps::worse_failure(into.worst_failure, from.worst_failure);
 }
 
@@ -104,28 +106,22 @@ telemetry::Counter& frontend_failure_counter(std::string_view language) {
 
 /// Applies one phase with the paper's per-step syntax check: if the result
 /// no longer parses under the front-end's grammar, the step is skipped.
-/// With a parse-caching front-end the validity parse is the same parse the
-/// next phase (and the next check) will reuse.
+/// With the run's parse table the validity parse is the same parse the next
+/// phase (and the next check) will reuse.
 template <typename Fn>
 std::string checked(std::string_view input, const LanguageFrontend& fe,
-                    Fn&& phase) {
+                    const FrontendPhaseContext& ctx, Fn&& phase) {
   std::string out = phase(input);
   if (out == input) return std::string(input);
-  if (!fe.syntax_ok(out)) return std::string(input);
+  if (!fe.syntax_ok(out, ctx)) return std::string(input);
   return out;
 }
 
 }  // namespace
 
 InvokeDeobfuscator::InvokeDeobfuscator(Options options)
-    : options_(std::move(options)) {
-  if (options_.parse_cache) {
-    cache_ = options_.shared_parse_cache != nullptr
-                 ? options_.shared_parse_cache
-                 : std::make_shared<ps::ParseCache>();
-  }
-  frontends_ = FrontendRegistry::instance().create_all(options_, cache_);
-}
+    : options_(std::move(options)),
+      frontends_(FrontendRegistry::instance().create_all(options_)) {}
 
 const LanguageFrontend* InvokeDeobfuscator::frontend(
     std::string_view language) const {
@@ -301,24 +297,40 @@ std::string InvokeDeobfuscator::run_pipeline(std::string_view script,
   if (opts.fault_injector != nullptr) {
     opts.fault_injector->inject(FaultSite::Parse);
   }
+  // The piece memo and the parse table live for this run only: shared by
+  // its layers, fixed-point passes and syntax checks, never by another
+  // attempt, call or request. `shared_parse_cache` only collects the
+  // table's counts, also when the run aborts.
+  RecoveryMemo memo;
+  ps::ParseCache parses;
+  struct CountSink {
+    const ps::ParseCache& table;
+    ps::ParseCache* sink;
+    ~CountSink() {
+      if (sink != nullptr) sink->add_counts(table.stats());
+    }
+  } count_sink{parses, opts.parse_cache ? opts.shared_parse_cache.get()
+                                        : nullptr};
+  FrontendPhaseContext ctx;
+  ctx.opts = &opts;
+  ctx.budget = budget;
+  ctx.memo = opts.recovery.memo ? &memo : nullptr;
+  ctx.fault = opts.fault_injector;
+  ctx.parse_cache = opts.parse_cache ? &parses : nullptr;
+
   // Classify invalid input up front (the phases would all no-op on it
   // anyway); the output contract — returned unchanged — is preserved by the
   // per-phase syntax checks exactly as before.
-  if (!fe.syntax_ok(script)) {
+  if (!fe.syntax_ok(script, ctx)) {
     report.failure = ps::FailureKind::ParseError;
     report.failure_detail = "input does not parse";
   }
-  // The piece memo lives for this run only: shared by its layers and
-  // fixed-point passes, never by another attempt, call or request.
-  RecoveryMemo memo;
-  std::string out =
-      deobfuscate_layers(script, report, 0, trace,
-                         opts.recovery.memo ? &memo : nullptr, opts, budget, fe);
+  std::string out = deobfuscate_layers(script, report, 0, trace, ctx, fe);
 
   if (opts.rename) {
     if (budget != nullptr) budget->force_checkpoint();
     telemetry::PhaseSpan span(telemetry::Phase::Rename);
-    out = checked(out, fe, [&](std::string_view s) {
+    out = checked(out, fe, ctx, [&](std::string_view s) {
       RenameStats rs;
       std::string r = fe.rename_pass(s, rs, trace);
       if (rs.renamed) report.rename = rs;
@@ -328,7 +340,7 @@ std::string InvokeDeobfuscator::run_pipeline(std::string_view script,
   if (opts.reformat) {
     if (budget != nullptr) budget->force_checkpoint();
     telemetry::PhaseSpan span(telemetry::Phase::Reformat);
-    out = checked(out, fe,
+    out = checked(out, fe, ctx,
                   [&](std::string_view s) { return fe.reformat_pass(s); });
   }
   if (trace != nullptr) {
@@ -341,15 +353,11 @@ std::string InvokeDeobfuscator::run_pipeline(std::string_view script,
 
 std::string InvokeDeobfuscator::deobfuscate_layers(
     std::string_view script, DeobfuscationReport& report, int depth,
-    TraceSink* trace, RecoveryMemo* memo, const Options& opts,
-    ps::Budget* budget, const LanguageFrontend& fe) const {
+    TraceSink* trace, const FrontendPhaseContext& ctx,
+    const LanguageFrontend& fe) const {
+  const Options& opts = *ctx.opts;
+  ps::Budget* const budget = ctx.budget;
   if (depth > opts.limits.max_layers) return std::string(script);
-
-  FrontendPhaseContext ctx;
-  ctx.opts = &opts;
-  ctx.budget = budget;
-  ctx.memo = memo;
-  ctx.fault = opts.fault_injector;
 
   std::string cur(script);
   for (int pass = 0; pass < opts.limits.max_layers; ++pass) {
@@ -359,7 +367,7 @@ std::string InvokeDeobfuscator::deobfuscate_layers(
     if (opts.token_pass) {
       if (budget != nullptr) budget->force_checkpoint();
       telemetry::PhaseSpan span(telemetry::Phase::TokenPass);
-      next = checked(next, fe, [&](std::string_view s) {
+      next = checked(next, fe, ctx, [&](std::string_view s) {
         TokenPassStats ts;
         std::string r = fe.token_pass(s, ts, trace);
         merge(report.token, ts);
@@ -369,7 +377,7 @@ std::string InvokeDeobfuscator::deobfuscate_layers(
 
     if (opts.ast_recovery) {
       if (budget != nullptr) budget->force_checkpoint();
-      next = checked(next, fe, [&](std::string_view s) {
+      next = checked(next, fe, ctx, [&](std::string_view s) {
         RecoveryStats rs;
         std::string r = fe.recovery_pass(s, ctx, rs, trace);
         merge(report.recovery, rs);
@@ -382,10 +390,10 @@ std::string InvokeDeobfuscator::deobfuscate_layers(
       // The scan span; each extracted payload opens a nested decode span
       // (with the disguise form as detail) inside unwrap_layers.
       telemetry::PhaseSpan span(telemetry::Phase::MultilayerDecode, "scan");
-      next = checked(next, fe, [&](std::string_view s) {
+      next = checked(next, fe, ctx, [&](std::string_view s) {
         const auto inner = [&](std::string_view payload) {
-          return deobfuscate_layers(payload, report, depth + 1, trace, memo,
-                                    opts, budget, fe);
+          return deobfuscate_layers(payload, report, depth + 1, trace, ctx,
+                                    fe);
         };
         return fe.unwrap_layers(s, ctx, report.multilayer, trace, inner);
       });

@@ -28,16 +28,14 @@
 
 #include "frontends/frontend.h"
 #include "ideobf/options.h"
-#include "psast/parse_cache.h"
 #include "psvalue/budget.h"
 #include "telemetry/telemetry.h"
 
 namespace ideobf {
 
 /// The deobfuscator. Const-callable from any number of threads and cheap to
-/// copy; copies share the (thread-safe) parse cache and the front-end
-/// instances. Nothing else outlives a call: each pipeline attempt builds
-/// its own piece memo.
+/// copy; copies share the front-end instances. Nothing else outlives a
+/// call: each pipeline attempt builds its own piece memo and parse table.
 class InvokeDeobfuscator {
  public:
   explicit InvokeDeobfuscator(Options options = {});
@@ -67,12 +65,6 @@ class InvokeDeobfuscator {
 
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// The parse cache in use; null when options().parse_cache is false.
-  /// PowerShell-substrate infrastructure, shared with the PS front-end.
-  [[nodiscard]] const std::shared_ptr<ps::ParseCache>& parse_cache() const {
-    return cache_;
-  }
-
   /// The front-end registered under `language` ("" = default), or null.
   [[nodiscard]] const LanguageFrontend* frontend(
       std::string_view language) const;
@@ -94,20 +86,20 @@ class InvokeDeobfuscator {
                                const Options::Limits& limits,
                                const LanguageFrontend& frontend) const;
   /// One full pipeline run under `opts`, checkpointing `budget` (may be
-  /// null) between phases, with its own piece memo when
-  /// opts.recovery.memo. Throws on budget/fault aborts.
+  /// null) between phases, with its own piece memo when opts.recovery.memo
+  /// and its own parse table when opts.parse_cache. Throws on budget/fault
+  /// aborts.
   std::string run_pipeline(std::string_view script, DeobfuscationReport& report,
                            const Options& opts, ps::Budget* budget,
                            const LanguageFrontend& frontend) const;
   std::string deobfuscate_layers(std::string_view script,
                                  DeobfuscationReport& report, int depth,
-                                 TraceSink* trace, RecoveryMemo* memo,
-                                 const Options& opts, ps::Budget* budget,
+                                 TraceSink* trace,
+                                 const FrontendPhaseContext& ctx,
                                  const LanguageFrontend& frontend) const;
   /// The options for one degradation-ladder rung (see Options::Limits).
   [[nodiscard]] Options rung_options(int rung) const;
   Options options_;
-  std::shared_ptr<ps::ParseCache> cache_;
   /// One instance per registered front-end, registry order (default
   /// language first). Const-shared: front-ends are pure policy.
   std::vector<std::shared_ptr<const LanguageFrontend>> frontends_;

@@ -2,9 +2,13 @@
 
 #include <map>
 #include <memory>
+#include <unordered_set>
 
 #include <array>
 #include <atomic>
+#include <cctype>
+#include <cstdint>
+#include <limits>
 
 #include "core/blocklist.h"
 #include "core/failure.h"
@@ -173,6 +177,100 @@ bool is_trivial_literal(std::string_view text) {
   return all_digits;
 }
 
+/// The value a replacement literal reparses to, or nullopt when the
+/// literal has no such form (then an enclosing piece must parse its text).
+/// Strings come from value_to_literal's single quotes, so only doubled
+/// quotes need undoing; numbers are accepted in the plain `-12` / `3.5`
+/// form that binds as a number in expression and argument position alike,
+/// with the parser's own conversion. `%.15g` exponent forms and `inf` /
+/// `nan` have no such form, and neither has the most negative int: outside
+/// a command argument `-N` is unary minus applied to N, and that N
+/// overflows.
+std::optional<Value> literal_value(std::string_view literal) {
+  if (literal == std::to_string(std::numeric_limits<std::int64_t>::min())) {
+    return std::nullopt;
+  }
+  if (literal.size() >= 2 && literal.front() == '\'' &&
+      literal.back() == '\'') {
+    std::string s;
+    s.reserve(literal.size() - 2);
+    for (std::size_t i = 1; i + 1 < literal.size(); ++i) {
+      s.push_back(literal[i]);
+      if (literal[i] == '\'') ++i;  // '' is one quote
+    }
+    return Value(std::move(s));
+  }
+  std::size_t i = !literal.empty() && literal.front() == '-' ? 1 : 0;
+  const std::size_t digits = i;
+  bool dot = false;
+  for (; i < literal.size(); ++i) {
+    if (literal[i] == '.' && !dot && i > digits && i + 1 < literal.size()) {
+      dot = true;
+    } else if (!std::isdigit(static_cast<unsigned char>(literal[i]))) {
+      return std::nullopt;
+    }
+  }
+  if (literal.size() == digits) return std::nullopt;
+  return ps::parse_number_token(literal);
+}
+
+/// Characters that continue a name or bareword token.
+bool is_name_char(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return std::isalnum(u) != 0 || c == '_' || u >= 0x80;
+}
+
+/// True when `node` is lexed in command-argument mode: a command element
+/// or `-Name:` argument, or the target of a postfix chain or an item of a
+/// comma list that is one.
+bool in_command_argument(const Ast& node) {
+  const Ast* child = &node;
+  for (const Ast* p = node.parent(); p != nullptr;
+       child = p, p = p->parent()) {
+    switch (p->kind()) {
+      case NodeKind::Command:
+      case NodeKind::CommandParameter:
+        return true;
+      case NodeKind::ArrayLiteral:
+        continue;
+      case NodeKind::MemberExpression:
+      case NodeKind::InvokeMemberExpression:
+        if (static_cast<const ps::MemberExpressionAst*>(p)->target.get() !=
+            child) {
+          return false;
+        }
+        continue;
+      case NodeKind::IndexExpression:
+        if (static_cast<const ps::IndexExpressionAst*>(p)->target.get() !=
+            child) {
+          return false;
+        }
+        continue;
+      default:
+        return false;
+    }
+  }
+  return false;
+}
+
+/// True when `node` is a whole argument of a command (not its name), or
+/// an item of a comma list that is one.
+bool is_whole_argument(const Ast& node) {
+  const Ast* p = node.parent();
+  if (p != nullptr && p->kind() == NodeKind::ArrayLiteral) p = p->parent();
+  return p != nullptr && p->kind() == NodeKind::Command &&
+         static_cast<const ps::CommandAst*>(p)->elements.front().get() !=
+             &node;
+}
+
+/// Node kinds whose evaluation reads their body by source extent (the
+/// body becomes a script block's text), so a rewrite inside them is only
+/// seen through a parse of the rewritten text.
+bool reads_source_text(NodeKind kind) {
+  return kind == NodeKind::ScriptBlockExpression ||
+         kind == NodeKind::FunctionDefinition;
+}
+
 class Reconstructor {
  public:
   Reconstructor(std::string_view src, const RecoveryOptions& options,
@@ -183,7 +281,7 @@ class Reconstructor {
     scope_path_.push_back(0);
   }
 
-  std::string run(const Ast& root) { return reconstruct(root); }
+  std::string run(const Ast& root) { return reconstruct(root).text; }
 
  private:
   struct VarInfo {
@@ -191,11 +289,32 @@ class Reconstructor {
     std::vector<int> scope;
   };
 
+  /// A node's reconstructed text, and whether its own subtree can still
+  /// stand for that text.
+  struct Rebuilt {
+    std::string text;
+    /// Some node in the extent was replaced, so `text` differs from the
+    /// node's source.
+    bool rewritten = false;
+    /// Every outermost replaced node in the extent has its literal's value
+    /// in overrides_, and none sits under a reads_source_text() node: then
+    /// evaluating the subtree with the overrides is evaluating `text`,
+    /// with no parse.
+    bool replayable = true;
+  };
+
   std::string_view src_;
   const RecoveryOptions& options_;
   RecoveryStats& stats_;
   TraceSink* trace_;
-  ps::ParseCache* cache_;  ///< shared parse cache for piece interpreters
+  ps::ParseCache* cache_;  ///< the run's parse table; may be null
+  /// Replaced nodes of this pass -> the value their literal reparses to.
+  /// Recovery is post-order, so a piece's replaced children are bound
+  /// before the piece itself evaluates.
+  ps::NodeOverrides overrides_;
+  /// End offsets of this pass's replaced nodes: a literal spliced right
+  /// after another one may merge with it.
+  std::unordered_set<std::size_t> replaced_ends_;
   std::map<std::string, VarInfo> table_;  ///< S_v and S_c of Algorithm 1
   std::vector<std::string> function_defs_;  ///< trace_functions extension
   std::vector<int> scope_path_;
@@ -318,36 +437,109 @@ class Reconstructor {
     return found;
   }
 
-  /// The node to fold when the piece is pure, else null. A verbatim piece
-  /// is classified by its own subtree (evaluated against src_); text
-  /// rewritten by child substitutions by the single statement of its cached
-  /// parse, pinned in `parsed` (evaluated against the text itself). Without
-  /// a parse cache rewritten text is never folded.
-  const Ast* pure_root(const std::string& text, const Ast* node,
+  /// Which tree a piece evaluates: its own subtree with the overrides
+  /// (the subtree path), or the single statement of a parse of its
+  /// rewritten text (the parse path, whose parse `parsed` pins).
+  struct PieceRoot {
+    const Ast* node = nullptr;  ///< null: evaluate the text as a script
+    std::string_view source;
+    const ps::NodeOverrides* overrides = nullptr;
+  };
+
+  /// Whether a piece or assignment evaluates its own subtree (with the
+  /// overrides) rather than a parse of its rebuilt text.
+  bool subtree_path(const Rebuilt& piece) const {
+    return piece.replayable &&
+           !(piece.rewritten && options_.reparse_rewritten);
+  }
+
+  /// Verbatim pieces and replayable rewritten ones take the subtree path;
+  /// the rest parse their text, through the run's parse table if any.
+  PieceRoot piece_root(const Rebuilt& piece, const Ast& node,
                        ps::ParsedScript& parsed) const {
-    const Ast* root = nullptr;
-    if (node != nullptr && matches_source(*node, text)) {
-      root = node;
-    } else if (cache_ != nullptr) {
-      parsed = cache_->get(text).ast;
-      if (parsed != nullptr) root = single_statement(*parsed);
+    if (subtree_path(piece)) {
+      return {&node, src_, piece.rewritten ? &overrides_ : nullptr};
     }
-    return root != nullptr && is_pure_piece(*root) ? root : nullptr;
+    parsed = cache_ != nullptr ? cache_->get(piece.text).ast
+                               : ps::try_parse(piece.text);
+    return {parsed != nullptr ? single_statement(*parsed) : nullptr,
+            piece.text, nullptr};
   }
 
   /// Splices the reconstructed children into the node's original text.
   std::string splice(const Ast& node,
-                     const std::vector<std::pair<const Ast*, std::string>>& kids) {
+                     const std::vector<std::pair<const Ast*, Rebuilt>>& kids) {
     std::string out;
     std::size_t pos = node.start();
-    for (const auto& [child, text] : kids) {
+    for (const auto& [child, kid] : kids) {
       if (child->start() < pos) continue;  // defensive: skip overlaps
       out += src_.substr(pos, child->start() - pos);
-      out += text;
+      out += kid.text;
       pos = child->end();
     }
     out += src_.substr(pos, node.end() - pos);
     return out;
+  }
+
+  /// Whether `literal`, spliced over `node`, lexes as one token standing
+  /// where the node stood in every piece that contains it, so that the
+  /// literal's value is what the spliced text means there (DESIGN.md §7,
+  /// invariant 8). Decided on the source characters around the node, which
+  /// are the spliced text's unless a replaced node ends right before it:
+  /// the literal must not merge with a neighbour (`'x''y'` is one string,
+  /// `42.Length` one argument bareword), a number in an argument must be a
+  /// whole argument, and a negative number must not meet an operator, cast
+  /// or postfix that would take its sign apart (`--5`, `[int]-5`,
+  /// `-5.Length`).
+  bool splices_as_token(const Ast& node, std::string_view literal) const {
+    if (replaced_ends_.count(node.start()) != 0) return false;
+    const auto at = [this](std::size_t i) {
+      return i < src_.size() ? src_[i] : ' ';
+    };
+    const char before = node.start() > 0 ? at(node.start() - 1) : ' ';
+    const char before2 = node.start() > 1 ? at(node.start() - 2) : ' ';
+    const char after = at(node.end());
+    const char after2 = at(node.end() + 1);
+    const auto space = [](char c) {
+      return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+    };
+    if (is_name_char(after)) return false;
+    // A member or static-member name position (`$o.$m`), but not a range.
+    if ((before == '.' && before2 != '.') || before == ':') return false;
+    if (literal.front() == '\'') return before != '\'' && after != '\'';
+    if (is_name_char(before) ||
+        (after == '.' && std::isdigit(static_cast<unsigned char>(after2)))) {
+      return false;
+    }
+    if (in_command_argument(node)) {
+      // An argument-mode number is a bareword that runs on to the next
+      // command-word break, and binds as a number only when it is all of
+      // one argument.
+      return is_whole_argument(node) && (space(before) || before == ',') &&
+             (space(after) || after == ';' || after == '|' || after == ')' ||
+              after == '}' || after == ',');
+    }
+    if (literal.front() != '-') return true;
+    const Ast* parent = node.parent();
+    return (parent == nullptr ||
+            parent->kind() != NodeKind::ConvertExpression) &&
+           (space(before) || before == '(' || before == ',' ||
+            before == '=' || before == '{' || before == '[' ||
+            before == ';' || before == '|') &&
+           (space(after) || after == ')' || after == ',' || after == ';' ||
+            after == '}' || after == ']' || after == '|');
+  }
+
+  /// Replaces `node`'s text by `literal`. When the literal splices as a
+  /// token, binds the value it reparses to, so enclosing pieces can
+  /// evaluate their subtree; otherwise they parse their text.
+  Rebuilt replaced(const Ast& node, std::string literal) {
+    std::optional<Value> value = literal_value(literal);
+    const bool replayable =
+        value.has_value() && splices_as_token(node, literal);
+    if (replayable) overrides_.insert_or_assign(&node, std::move(*value));
+    replaced_ends_.insert(node.end());
+    return {std::move(literal), true, replayable};
   }
 
   bool is_loop_or_conditional(NodeKind kind) const {
@@ -364,56 +556,58 @@ class Reconstructor {
     }
   }
 
-  std::string reconstruct(const Ast& node) {
+  Rebuilt reconstruct(const Ast& node) {
     // Scope bookkeeping (the six scope kinds of Algorithm 1).
     const bool scoped = ps::is_scope_kind(node.kind());
     const bool conditional = is_loop_or_conditional(node.kind());
     if (scoped) scope_path_.push_back(++scope_counter_);
     if (conditional) ++conditional_depth_;
 
-    std::vector<std::pair<const Ast*, std::string>> kids;
+    std::vector<std::pair<const Ast*, Rebuilt>> kids;
+    Rebuilt self;
     for (const Ast* child : node.children()) {
-      kids.emplace_back(child, reconstruct(*child));
+      Rebuilt kid = reconstruct(*child);
+      if (kid.rewritten) {
+        self.rewritten = true;
+        self.replayable = self.replayable && kid.replayable;
+      }
+      kids.emplace_back(child, std::move(kid));
     }
 
     if (conditional) --conditional_depth_;
     if (scoped) scope_path_.pop_back();
 
-    std::string text = splice(node, kids);
+    if (self.rewritten && reads_source_text(node.kind())) {
+      self.replayable = false;
+    }
+    self.text = splice(node, kids);
 
     switch (node.kind()) {
       case NodeKind::VariableExpression:
         return handle_variable(static_cast<const ps::VariableExpressionAst&>(node),
-                               std::move(text));
+                               std::move(self));
       case NodeKind::AssignmentStatement:
         return handle_assignment(
-            static_cast<const ps::AssignmentStatementAst&>(node), std::move(text));
+            static_cast<const ps::AssignmentStatementAst&>(node), std::move(self));
       case NodeKind::FunctionDefinition:
         if (options_.trace_functions && conditional_depth_ == 0) {
-          function_defs_.push_back(text);
+          function_defs_.push_back(self.text);
         }
-        return text;
+        return self;
       case NodeKind::ExpandableStringExpression:
-        return handle_expandable(std::move(text), node);
+        return handle_expandable(std::move(self), node);
       default:
         break;
     }
 
     if (ps::is_recoverable_kind(node.kind())) {
-      return try_recover(std::move(text), node);
+      return try_recover(std::move(self), node);
     }
-    return text;
+    return self;
   }
 
-  /// True when the spliced text is the node's verbatim source text — no
-  /// child was substituted, so the already-parsed subtree still describes
-  /// it and can be evaluated without re-parsing.
-  bool matches_source(const Ast& node, std::string_view text) const {
-    return text == src_.substr(node.start(), node.end() - node.start());
-  }
-
-  std::string handle_variable(const ps::VariableExpressionAst& var,
-                              std::string text) {
+  Rebuilt handle_variable(const ps::VariableExpressionAst& var, Rebuilt self) {
+    const std::string& text = self.text;
     const std::string bare = var.bare_name();
     const std::string scope = var.scope_qualifier();
 
@@ -421,9 +615,9 @@ class Reconstructor {
     // conditional statement becomes untraceable.
     if (conditional_depth_ > 0) {
       table_.erase(bare);
-      return text;
+      return self;
     }
-    if (is_untouchable_variable(bare)) return text;
+    if (is_untouchable_variable(bare)) return self;
 
     // Never substitute binding positions.
     const Ast* parent = var.parent();
@@ -431,18 +625,18 @@ class Reconstructor {
       if (parent->kind() == NodeKind::AssignmentStatement &&
           static_cast<const ps::AssignmentStatementAst*>(parent)->left.get() ==
               &var) {
-        return text;
+        return self;
       }
       if (parent->kind() == NodeKind::ForEachStatement &&
           static_cast<const ps::ForEachStatementAst*>(parent)->variable.get() ==
               &var) {
-        return text;
+        return self;
       }
       if (parent->kind() == NodeKind::UnaryExpression) {
         const auto& un = static_cast<const ps::UnaryExpressionAst&>(*parent);
         if (un.op.rfind("++", 0) == 0 || un.op.rfind("--", 0) == 0) {
           table_.erase(bare);
-          return text;
+          return self;
         }
       }
     }
@@ -451,16 +645,16 @@ class Reconstructor {
     if (scope.empty() || scope == "script" || scope == "global") {
       auto it = table_.find(bare);
       if (it != table_.end() && scope_visible(it->second.scope)) {
-        const std::string literal = value_to_literal(it->second.value);
+        std::string literal = value_to_literal(it->second.value);
         if (!literal.empty()) {
           stats_.variables_substituted++;
           if (trace_ != nullptr) {
             trace_->emit({TraceEvent::Kind::VariableSubstituted, var.start(),
                           text, literal, trace_->pass()});
           }
-          return literal;
+          return replaced(var, std::move(literal));
         }
-        return text;
+        return self;
       }
     }
 
@@ -489,11 +683,7 @@ class Reconstructor {
           opts.parse_cache = cache_;
           opts.budget = options_.budget;
           ps::Interpreter probe(opts);
-          // Parse-once: the variable node is a verbatim subtree of the
-          // already-parsed script, so no piece parse is needed.
-          const Value v = cache_ != nullptr
-                              ? probe.evaluate(var, src_)
-                              : probe.evaluate_script(probe_text);
+          const Value v = probe.evaluate(var, src_);
           if (v.is_string() || v.is_char()) literal = value_to_literal(v);
         } catch (const ps::BudgetError&) {
           throw;
@@ -510,28 +700,30 @@ class Reconstructor {
           trace_->emit({TraceEvent::Kind::VariableSubstituted, var.start(),
                         text, literal, trace_->pass()});
         }
-        return literal;
+        return replaced(var, std::move(literal));
       }
     }
-    return text;
+    return self;
   }
 
-  std::string handle_assignment(const ps::AssignmentStatementAst& st,
-                                std::string text) {
-    if (st.left->kind() != NodeKind::VariableExpression) return text;
+  Rebuilt handle_assignment(const ps::AssignmentStatementAst& st,
+                            Rebuilt self) {
+    if (st.left->kind() != NodeKind::VariableExpression) return self;
     const auto& var = static_cast<const ps::VariableExpressionAst&>(*st.left);
     const std::string bare = var.bare_name();
     if (conditional_depth_ > 0 || is_untouchable_variable(bare)) {
       table_.erase(bare);
-      return text;
+      return self;
     }
     telemetry::PhaseSpan trace_span(telemetry::Phase::VariableTrace);
     try {
       auto interp = make_interpreter();
-      if (cache_ != nullptr && matches_source(st, text)) {
-        interp->evaluate(st, src_);  // parse-once: reuse the subtree
+      if (subtree_path(self)) {
+        // The assignment's own subtree, replaced nodes bound.
+        interp->evaluate(st, src_, self.rewritten ? &overrides_ : nullptr);
       } else {
-        interp->evaluate_script(text);
+        stats_.pieces_reparsed++;
+        interp->evaluate_script(self.text);
       }
       if (auto value = interp->get_variable(bare)) {
         table_[bare] = VarInfo{*value, scope_path_};
@@ -554,7 +746,7 @@ class Reconstructor {
       record_piece_failure(classify_current_exception().first);
       table_.erase(bare);
     }
-    return text;
+    return self;
   }
 
   /// Executes a piece through the two-rung evaluation ladder:
@@ -569,25 +761,25 @@ class Reconstructor {
   ///
   /// The returned literal is "" when the piece stays as-is (failed
   /// execution, no literal form, or no progress).
-  std::string execute_piece(const std::string& text, const Ast* node) {
-    telemetry::PhaseSpan piece_span(
-        telemetry::Phase::PieceExecution,
-        node != nullptr ? ps::to_string(node->kind()) : std::string_view{});
-    if (node != nullptr && telemetry::enabled()) {
-      piece_kind_counter(node->kind()).add();
-    }
+  std::string execute_piece(const Rebuilt& piece, const Ast& node) {
+    const std::string& text = piece.text;
+    telemetry::PhaseSpan piece_span(telemetry::Phase::PieceExecution,
+                                    ps::to_string(node.kind()));
+    if (telemetry::enabled()) piece_kind_counter(node.kind()).add();
     piece_exec_counter().add();
     if (options_.fault != nullptr) {
       options_.fault->inject(FaultSite::PieceExecution);
     }
-    ps::ParsedScript parsed;  // pins a rewritten piece's cached parse
-    const Ast* const pure = pure_root(text, node, parsed);
+    ps::ParsedScript parsed;  // pins a parse-path piece's parse
+    const PieceRoot root = piece_root(piece, node, parsed);
+    const bool pure =
+        root.node != nullptr && is_pure_piece(*root.node, root.overrides);
     std::size_t ctx = 0;
     if (options_.memo != nullptr) {
       if (options_.fault != nullptr) {
         options_.fault->inject(FaultSite::MemoLookup);
       }
-      ctx = pure != nullptr ? kPureContext : context_fingerprint();
+      ctx = pure ? kPureContext : context_fingerprint();
       if (const std::optional<std::string> hit =
               options_.memo->lookup(ctx, text)) {
         stats_.memo_hits++;
@@ -615,29 +807,25 @@ class Reconstructor {
     };
     StageTimer timer;
     const bool timed = telemetry::enabled();
+    const bool subtree = root.node == &node;
+    if (!subtree) stats_.pieces_reparsed++;
     try {
       Value result;
-      if (pure != nullptr) {
+      if (pure) {
         stats_.pieces_folded++;
         fold_counter().add();
         if (timed) timer.start(fold_histogram());
         ps::Interpreter& interp = fold_interpreter();
         // A fresh step allowance per piece, as a fresh interpreter has.
         interp.reset_steps();
-        result = interp.evaluate(
-            *pure, pure == node ? src_ : std::string_view(text));
+        result = interp.evaluate(*root.node, root.source, root.overrides);
       } else {
         stats_.treewalk_fallbacks++;
         treewalk_fallback_counter().add();
         if (timed) timer.start(fallback_histogram());
         auto interp = make_interpreter();
-        // Parse-once: a piece whose text is still the node's verbatim
-        // source evaluates from the already-parsed subtree; only pieces
-        // rewritten by child substitutions need a (cached) piece parse.
-        result =
-            cache_ != nullptr && node != nullptr && matches_source(*node, text)
-                ? interp->evaluate(*node, src_)
-                : interp->evaluate_script(text);
+        result = subtree ? interp->evaluate(node, src_, root.overrides)
+                         : interp->evaluate_script(text);
       }
       literal = value_to_literal(result);
     } catch (const ps::BudgetError&) {
@@ -654,33 +842,33 @@ class Reconstructor {
     return literal;
   }
 
-  /// Books a successful recovery ("" keeps the original text).
-  std::string apply_recovered(std::string text, std::string literal) {
-    if (literal.empty()) return text;
+  /// Books a successful recovery ("" keeps the piece as rebuilt).
+  Rebuilt apply_recovered(const Ast& node, Rebuilt piece, std::string literal) {
+    if (literal.empty()) return piece;
     stats_.pieces_recovered++;
     if (trace_ != nullptr) {
-      trace_->emit({TraceEvent::Kind::PieceRecovered, 0, std::move(text),
+      trace_->emit({TraceEvent::Kind::PieceRecovered, 0, std::move(piece.text),
                     literal, trace_->pass()});
     }
-    return literal;
+    return replaced(node, std::move(literal));
   }
 
   /// Expandable strings ("pre $url post") are not recoverable nodes, but
   /// with every referenced variable traced their value is known; evaluating
   /// them in the strict interpreter turns them into plain literals, which
   /// extends recovery to interpolation sites inside blocklisted pipelines.
-  std::string handle_expandable(std::string text, const Ast& node) {
-    if (conditional_depth_ > 0) return text;
-    if (text.find('$') == std::string::npos) return text;
-    std::string literal = execute_piece(text, &node);
-    return apply_recovered(std::move(text), std::move(literal));
+  Rebuilt handle_expandable(Rebuilt self, const Ast& node) {
+    if (conditional_depth_ > 0) return self;
+    if (self.text.find('$') == std::string::npos) return self;
+    std::string literal = execute_piece(self, node);
+    return apply_recovered(node, std::move(self), std::move(literal));
   }
 
-  std::string try_recover(std::string text, const Ast& node) {
-    if (text.size() > options_.max_piece_size) return text;
-    if (is_trivial_literal(text)) return text;
-    std::string literal = execute_piece(text, &node);
-    return apply_recovered(std::move(text), std::move(literal));
+  Rebuilt try_recover(Rebuilt self, const Ast& node) {
+    if (self.text.size() > options_.max_piece_size) return self;
+    if (is_trivial_literal(self.text)) return self;
+    std::string literal = execute_piece(self, node);
+    return apply_recovered(node, std::move(self), std::move(literal));
   }
 };
 
@@ -703,28 +891,37 @@ bool is_value_unary_op(const std::string& op) {
 }
 
 /// A pipeline of exactly one expression element (no commands).
-bool is_pure_lone_pipeline(const ps::PipelineAst& pipe) {
+bool is_pure_lone_pipeline(const ps::PipelineAst& pipe,
+                           const ps::NodeOverrides* overrides) {
   if (pipe.elements.size() != 1) return false;
   const Ast& el = *pipe.elements[0];
   return el.kind() == NodeKind::CommandExpression &&
-         is_pure_piece(*static_cast<const ps::CommandExpressionAst&>(el)
-                           .expression);
+         is_pure_piece(
+             *static_cast<const ps::CommandExpressionAst&>(el).expression,
+             overrides);
 }
 
 /// The body of a paren/sub/array expression: one lone-expression pipeline.
-bool is_pure_lone_statement(const Ast& stmt) {
+bool is_pure_lone_statement(const Ast& stmt,
+                            const ps::NodeOverrides* overrides) {
+  if (overrides != nullptr && overrides->count(&stmt) != 0) return true;
   return stmt.kind() == NodeKind::Pipeline &&
-         is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(stmt));
+         is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(stmt),
+                               overrides);
 }
 
-bool is_pure_statements(const std::vector<ps::AstPtr>& statements) {
+bool is_pure_statements(const std::vector<ps::AstPtr>& statements,
+                        const ps::NodeOverrides* overrides) {
   return statements.empty() ||
-         (statements.size() == 1 && is_pure_lone_statement(*statements[0]));
+         (statements.size() == 1 &&
+          is_pure_lone_statement(*statements[0], overrides));
 }
 
 }  // namespace
 
-bool is_pure_piece(const Ast& node) {
+bool is_pure_piece(const Ast& node, const ps::NodeOverrides* overrides) {
+  // A replaced node stands for its literal: a constant.
+  if (overrides != nullptr && overrides->count(&node) != 0) return true;
   switch (node.kind()) {
     case NodeKind::ConstantExpression:
     case NodeKind::StringConstantExpression:
@@ -739,36 +936,43 @@ bool is_pure_piece(const Ast& node) {
           static_cast<const ps::VariableExpressionAst&>(node));
     case NodeKind::BinaryExpression: {
       const auto& bin = static_cast<const ps::BinaryExpressionAst&>(node);
-      return is_pure_piece(*bin.left) && is_pure_piece(*bin.right);
+      return is_pure_piece(*bin.left, overrides) &&
+             is_pure_piece(*bin.right, overrides);
     }
     case NodeKind::UnaryExpression: {
       const auto& un = static_cast<const ps::UnaryExpressionAst&>(node);
-      return is_value_unary_op(un.op) && is_pure_piece(*un.child);
+      return is_value_unary_op(un.op) && is_pure_piece(*un.child, overrides);
     }
     case NodeKind::ConvertExpression:
       return is_pure_piece(
-          *static_cast<const ps::ConvertExpressionAst&>(node).child);
+          *static_cast<const ps::ConvertExpressionAst&>(node).child,
+          overrides);
     case NodeKind::IndexExpression: {
       const auto& idx = static_cast<const ps::IndexExpressionAst&>(node);
-      return is_pure_piece(*idx.target) && is_pure_piece(*idx.index);
+      return is_pure_piece(*idx.target, overrides) &&
+             is_pure_piece(*idx.index, overrides);
     }
     case NodeKind::ArrayLiteral:
       for (const auto& el :
            static_cast<const ps::ArrayLiteralAst&>(node).elements) {
-        if (!is_pure_piece(*el)) return false;
+        if (!is_pure_piece(*el, overrides)) return false;
       }
       return true;
     case NodeKind::ParenExpression:
       return is_pure_lone_statement(
-          *static_cast<const ps::ParenExpressionAst&>(node).pipeline);
+          *static_cast<const ps::ParenExpressionAst&>(node).pipeline,
+          overrides);
     case NodeKind::SubExpression:
       return is_pure_statements(
-          static_cast<const ps::SubExpressionAst&>(node).statements);
+          static_cast<const ps::SubExpressionAst&>(node).statements,
+          overrides);
     case NodeKind::ArrayExpression:
       return is_pure_statements(
-          static_cast<const ps::ArrayExpressionAst&>(node).statements);
+          static_cast<const ps::ArrayExpressionAst&>(node).statements,
+          overrides);
     case NodeKind::Pipeline:
-      return is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(node));
+      return is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(node),
+                                   overrides);
     default:
       // Commands (where the blocklist applies), member access, invocation,
       // hashtables, script blocks, assignments.

@@ -15,15 +15,13 @@
 #include <vector>
 
 #include "core/trace.h"
+#include "psast/ast.h"
 #include "psvalue/budget.h"
 #include "psvalue/value.h"
 
 namespace ps {
-class Ast;
 class Budget;
 class ParseCache;
-class ParsedScript;
-class ScriptBlockAst;
 }  // namespace ps
 
 namespace ideobf {
@@ -99,11 +97,16 @@ struct RecoveryOptions {
   /// Optional fault injector (sites: PieceExecution, MemoLookup). Injected
   /// FaultErrors likewise propagate out of the pass. May be null.
   FaultInjector* fault = nullptr;
+  /// Reference evaluation for tests: every rewritten piece and assignment
+  /// parses its rebuilt text, as before subtree evaluation existed. The
+  /// subtree path must give the same output (DESIGN.md §7, invariant 8).
+  bool reparse_rewritten = false;
 };
 
 /// True when evaluating `root` (a recoverable piece, or the single statement
 /// of a rewritten piece's parse) cannot observe interpreter state, so it
 /// folds on a shared table-free interpreter under one constant memo context.
+/// Nodes bound in `overrides` (replaced by literals) count as constants.
 /// Pure pieces are built only from constants, type literals, `$`-free
 /// expandable strings, the constant automatic variables ($true, $false,
 /// $null, $pshome, $psscriptroot, $shellid, $home, $pwd), binary operators,
@@ -112,7 +115,8 @@ struct RecoveryOptions {
 /// or pipelines holding one lone expression. Commands (where the blocklist
 /// applies), member access, assignments, `++`/`--`, hashtables, script
 /// blocks, and every other variable read are impure.
-[[nodiscard]] bool is_pure_piece(const ps::Ast& root);
+[[nodiscard]] bool is_pure_piece(const ps::Ast& root,
+                                 const ps::NodeOverrides* overrides = nullptr);
 
 /// Runs one recovery pass. Returns the input unchanged when it does not
 /// parse (the caller's per-step syntax check handles rollback).
@@ -121,10 +125,12 @@ std::string recovery_pass(std::string_view script, const RecoveryOptions& option
                           TraceSink* trace = nullptr);
 
 /// Parse-once overload: runs the pass over an already-parsed handle of
-/// `script` (extents must index into `script`), so unrewritten pieces can
-/// evaluate from their own subtrees without a re-parse. The output syntax
-/// check goes through `cache` when provided, so the caller's subsequent
-/// parse of the result is a cache hit.
+/// `script` (extents must index into `script`). Pieces evaluate from their
+/// own subtrees, with replaced children bound as overrides; only pieces
+/// whose rewrites a subtree cannot carry (DESIGN.md §11) parse their text.
+/// Those parses, the interpreters' and the output syntax check go through
+/// the run's parse table `cache` when provided, so the caller's subsequent
+/// parse of the result is a hit.
 std::string recovery_pass(std::string_view script,
                           const ps::ParsedScript& parsed,
                           const RecoveryOptions& options,

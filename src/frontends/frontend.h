@@ -31,8 +31,8 @@
 ///
 /// Thread-safety contract: a front-end instance is const-shared by every
 /// call, batch slot, and server worker of one engine — all methods must be
-/// const-callable from any number of threads (internal caches must be
-/// thread-safe, like ps::ParseCache).
+/// const-callable from any number of threads. Per-run state (the piece
+/// memo, the parse table) arrives in the FrontendPhaseContext.
 
 #include <functional>
 #include <string>
@@ -45,6 +45,7 @@
 
 namespace ps {
 class Budget;
+class ParseCache;
 }  // namespace ps
 
 namespace ideobf {
@@ -57,8 +58,9 @@ inline constexpr std::string_view kDefaultLanguage = "powershell";
 /// request by scoring the source against every registered front-end.
 inline constexpr std::string_view kAutoLanguage = "auto";
 
-/// Per-call plumbing the pipeline threads into the execution-bearing phases
-/// (recovery, multilayer). All pointers are non-owning and may be null.
+/// Per-run plumbing the pipeline threads into the syntax checks and the
+/// execution-bearing phases (recovery, multilayer). All pointers are
+/// non-owning and may be null.
 struct FrontendPhaseContext {
   /// The effective options of this attempt (already rung-tightened by the
   /// governor; limits/recovery knobs apply as configured).
@@ -73,6 +75,10 @@ struct FrontendPhaseContext {
   /// Fault-injection test hook; arm the language's execution sites when
   /// non-null.
   FaultInjector* fault = nullptr;
+  /// The parse table of this pipeline attempt (single-threaded, released
+  /// when the attempt ends). Null when Options::parse_cache is off; a
+  /// front-end without a PowerShell parser ignores it.
+  ps::ParseCache* parse_cache = nullptr;
 };
 
 /// One language behind the pipeline. Implementations must be pure policy:
@@ -94,7 +100,8 @@ class LanguageFrontend {
   /// Whether `text` parses. This is the per-step rollback oracle: a phase
   /// whose output fails it is skipped, so pipeline output is always valid
   /// when the input was.
-  [[nodiscard]] virtual bool syntax_ok(std::string_view text) const = 0;
+  [[nodiscard]] virtual bool syntax_ok(
+      std::string_view text, const FrontendPhaseContext& ctx) const = 0;
 
   /// Phase 1 — token-attribute normalization.
   [[nodiscard]] virtual std::string token_pass(std::string_view text,

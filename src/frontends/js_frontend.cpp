@@ -336,7 +336,9 @@ class JsFrontend final : public LanguageFrontend {
  public:
   [[nodiscard]] std::string_view name() const override { return "javascript"; }
 
-  [[nodiscard]] bool syntax_ok(std::string_view text) const override {
+  [[nodiscard]] bool syntax_ok(
+      std::string_view text,
+      const FrontendPhaseContext& /*ctx*/) const override {
     return jslang::is_valid_syntax(text);
   }
 

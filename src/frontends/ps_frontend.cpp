@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "core/multilayer.h"
 #include "core/recovery.h"
@@ -21,14 +20,12 @@ namespace {
 
 class PsFrontend final : public LanguageFrontend {
  public:
-  explicit PsFrontend(std::shared_ptr<ps::ParseCache> cache)
-      : cache_(std::move(cache)) {}
-
   [[nodiscard]] std::string_view name() const override { return "powershell"; }
 
-  [[nodiscard]] bool syntax_ok(std::string_view text) const override {
-    return cache_ != nullptr ? cache_->is_valid(text)
-                             : ps::is_valid_syntax(text);
+  [[nodiscard]] bool syntax_ok(std::string_view text,
+                               const FrontendPhaseContext& ctx) const override {
+    return ctx.parse_cache != nullptr ? ctx.parse_cache->is_valid(text)
+                                      : ps::is_valid_syntax(text);
   }
 
   [[nodiscard]] std::string token_pass(std::string_view text,
@@ -50,12 +47,12 @@ class PsFrontend final : public LanguageFrontend {
     ro.memo = ctx.memo;
     ro.budget = ctx.budget;
     ro.fault = ctx.fault;
-    if (cache_ != nullptr) {
-      const ps::ParseCache::Result parsed = cache_->get(text);
+    if (ctx.parse_cache != nullptr) {
+      const ps::ParseCache::Result parsed = ctx.parse_cache->get(text);
       return parsed.ast == nullptr
                  ? std::string(text)
                  : ideobf::recovery_pass(text, parsed.ast, ro, &stats, trace,
-                                         cache_.get());
+                                         ctx.parse_cache);
     }
     return ideobf::recovery_pass(text, ro, &stats, trace);
   }
@@ -65,11 +62,11 @@ class PsFrontend final : public LanguageFrontend {
                                           MultilayerStats& stats,
                                           TraceSink* trace,
                                           const Recurse& recurse) const override {
-    if (cache_ != nullptr) {
-      const ps::ParseCache::Result parsed = cache_->get(text);
+    if (ctx.parse_cache != nullptr) {
+      const ps::ParseCache::Result parsed = ctx.parse_cache->get(text);
       if (parsed.ast == nullptr) return std::string(text);
       return ideobf::unwrap_layers(text, *parsed.ast, recurse, &stats, trace,
-                                   cache_.get(), ctx.budget, ctx.fault);
+                                   ctx.parse_cache, ctx.budget, ctx.fault);
     }
     return ideobf::unwrap_layers(text, recurse, &stats, trace);
   }
@@ -119,16 +116,12 @@ class PsFrontend final : public LanguageFrontend {
     if (score < 0.05) score = 0.05;
     return score > 1.0 ? 1.0 : score;
   }
-
- private:
-  std::shared_ptr<ps::ParseCache> cache_;
 };
 
 }  // namespace
 
-std::shared_ptr<const LanguageFrontend> make_ps_frontend(
-    std::shared_ptr<ps::ParseCache> parse_cache) {
-  return std::make_shared<const PsFrontend>(std::move(parse_cache));
+std::shared_ptr<const LanguageFrontend> make_ps_frontend() {
+  return std::make_shared<const PsFrontend>();
 }
 
 }  // namespace ideobf

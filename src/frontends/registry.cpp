@@ -22,14 +22,10 @@ FrontendRegistry::FrontendRegistry() {
   // language is first, so an ambiguous source resolves to PowerShell.
   entries_.emplace_back(
       std::string(kDefaultLanguage),
-      [](const Options& /*options*/, std::shared_ptr<ps::ParseCache> cache) {
-        return make_ps_frontend(std::move(cache));
-      });
+      [](const Options& /*options*/) { return make_ps_frontend(); });
   entries_.emplace_back(
       "javascript",
-      [](const Options& /*options*/, std::shared_ptr<ps::ParseCache>) {
-        return make_js_frontend();
-      });
+      [](const Options& /*options*/) { return make_js_frontend(); });
 }
 
 void FrontendRegistry::register_frontend(std::string name, Factory factory) {
@@ -60,9 +56,7 @@ std::vector<std::string> FrontendRegistry::names() const {
 }
 
 std::vector<std::shared_ptr<const LanguageFrontend>>
-FrontendRegistry::create_all(
-    const Options& options,
-    const std::shared_ptr<ps::ParseCache>& parse_cache) const {
+FrontendRegistry::create_all(const Options& options) const {
   std::vector<std::pair<std::string, Factory>> snapshot;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -71,7 +65,7 @@ FrontendRegistry::create_all(
   std::vector<std::shared_ptr<const LanguageFrontend>> out;
   out.reserve(snapshot.size());
   for (const auto& [name, factory] : snapshot) {
-    out.push_back(factory(options, parse_cache));
+    out.push_back(factory(options));
   }
   return out;
 }
@@ -87,7 +81,7 @@ std::string_view sniff_language(std::string_view source) {
   // Snapshot at first use; process-lifetime.
   static const auto* sniffers =
       new std::vector<std::shared_ptr<const LanguageFrontend>>(
-          FrontendRegistry::instance().create_all(Options{}, nullptr));
+          FrontendRegistry::instance().create_all(Options{}));
   const LanguageFrontend* best = nullptr;
   double best_score = -1.0;
   for (const auto& frontend : *sniffers) {

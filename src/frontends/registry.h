@@ -6,10 +6,9 @@
 /// the registry is extensible so a new language is one `register_frontend`
 /// call away (front-end author checklist: docs/API.md).
 ///
-/// Factories, not instances: a front-end may share engine infrastructure
-/// (the PowerShell adapter holds the engine's ps::ParseCache, so the
-/// parse-once pipeline keeps working), so each InvokeDeobfuscator
-/// instantiates its own set at construction.
+/// Factories, not instances: a factory sees the engine's configured
+/// options, so each InvokeDeobfuscator instantiates its own set at
+/// construction.
 
 #include <functional>
 #include <memory>
@@ -21,20 +20,14 @@
 
 #include "frontends/frontend.h"
 
-namespace ps {
-class ParseCache;
-}  // namespace ps
-
 namespace ideobf {
 
 class FrontendRegistry {
  public:
-  /// Builds one front-end for one engine. `options` are the engine's
-  /// configured options; `parse_cache` is the engine's shared parse cache
-  /// (null when parse caching is off) — front-ends that do not use it
-  /// ignore it.
+  /// Builds one front-end for one engine from the engine's configured
+  /// options.
   using Factory = std::function<std::shared_ptr<const LanguageFrontend>(
-      const Options& options, std::shared_ptr<ps::ParseCache> parse_cache)>;
+      const Options& options)>;
 
   /// The process-wide registry, with the built-in front-ends
   /// ("powershell", "javascript") pre-registered.
@@ -54,8 +47,7 @@ class FrontendRegistry {
   /// Instantiates every registered front-end for one engine, registration
   /// order. This is what InvokeDeobfuscator calls at construction.
   [[nodiscard]] std::vector<std::shared_ptr<const LanguageFrontend>>
-  create_all(const Options& options,
-             const std::shared_ptr<ps::ParseCache>& parse_cache) const;
+  create_all(const Options& options) const;
 
  private:
   FrontendRegistry();

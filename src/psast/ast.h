@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "pslang/token.h"
@@ -724,6 +725,11 @@ bool is_scope_kind(NodeKind kind);
 
 /// Links parent pointers across the whole subtree rooted at `root`.
 void link_parents(Ast& root);
+
+/// Values bound to nodes of one tree, keyed by node address: what an
+/// evaluation of that tree reads instead of evaluating the node (see
+/// Interpreter::evaluate).
+using NodeOverrides = std::unordered_map<const Ast*, Value>;
 
 /// Owning handle for one parse: the Arena holding every node plus the root.
 /// Behaves like a (const) smart pointer to the root. Copies share the arena

@@ -1,7 +1,5 @@
 #include "psast/parse_cache.h"
 
-#include <algorithm>
-
 #include "pslang/lexer.h"
 #include "psast/parser.h"
 #include "telemetry/metrics.h"
@@ -10,8 +8,8 @@ namespace ps {
 
 namespace {
 
-// Registry mirrors of the cache's own atomics, so `--metrics` output and
-// bench hit-rate keys come from one place. Lookups are counted separately
+// Registry mirrors of the tables' counts, so `--metrics` output and bench
+// hit-rate keys come from one place. Lookups are counted separately
 // (rather than derived) so the exposition can assert hits+misses+bypasses
 // == lookups as a reconciliation check.
 ideobf::telemetry::Counter& cache_lookup_counter() {
@@ -29,11 +27,6 @@ ideobf::telemetry::Counter& cache_miss_counter() {
       ideobf::telemetry::registry().counter("ideobf_parse_cache_miss_total");
   return c;
 }
-ideobf::telemetry::Counter& cache_eviction_counter() {
-  static auto& c = ideobf::telemetry::registry().counter(
-      "ideobf_parse_cache_eviction_total");
-  return c;
-}
 ideobf::telemetry::Counter& cache_bypass_counter() {
   static auto& c =
       ideobf::telemetry::registry().counter("ideobf_parse_cache_bypass_total");
@@ -42,30 +35,21 @@ ideobf::telemetry::Counter& cache_bypass_counter() {
 
 }  // namespace
 
-ParseCache::ParseCache(std::size_t max_entries, std::size_t max_text_bytes)
-    : per_shard_cap_(std::max<std::size_t>(1, max_entries / kShards)),
-      max_text_bytes_(max_text_bytes) {}
+ParseCache::ParseCache(std::size_t max_entries, std::size_t max_bytes)
+    : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
 ParseCache::Result ParseCache::get(std::string_view text) {
-  const std::size_t hash = StringHash{}(text);
-  Shard& shard = shards_[hash % kShards];
   cache_lookup_counter().add();
-
-  if (text.size() <= max_text_bytes_) {
-    std::lock_guard lock(shard.mu);
-    if (auto it = shard.map.find(text); it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_hit_counter().add();
-      return it->second.result;
-    }
+  if (auto it = map_.find(text); it != map_.end()) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    cache_hit_counter().add();
+    return it->second;
   }
 
-  // Parse outside the shard lock: a slow parse must not serialize the
-  // shard. The pinned source copy lives in the same arena as the tree, so
-  // the whole entry is one allocation domain with one refcount.
+  // The pinned source copy lives in the same arena as the tree, so the
+  // whole entry is one allocation domain with one refcount.
   Result fresh;
-  auto arena = std::make_shared<Arena>();
+  auto arena = std::make_shared<Arena>(Arena::chunk_bytes_for(text.size()));
   const std::string* pinned = arena->make<std::string>(text);
   const ScriptBlockAst* root = nullptr;
   try {
@@ -73,63 +57,39 @@ ParseCache::Result ParseCache::get(std::string_view text) {
   } catch (const ParseError&) {
   } catch (const LexError&) {
   }
+  const std::size_t cost = 2 * text.size() + arena->reserved_bytes();
   fresh.source = std::shared_ptr<const std::string>(arena, pinned);
   fresh.ast = ParsedScript(std::move(arena), root);
   fresh.valid = root != nullptr;
 
-  if (text.size() > max_text_bytes_) {
+  if (map_.size() >= max_entries_ || cost > max_bytes_ - bytes_) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
     cache_bypass_counter().add();
     return fresh;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   cache_miss_counter().add();
-
-  std::lock_guard lock(shard.mu);
-  auto [it, inserted] = shard.map.try_emplace(std::string(text));
-  if (!inserted) {
-    // Another thread cached this text while we were parsing; keep theirs so
-    // all holders share one AST.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    return it->second.result;
-  }
-  shard.lru.push_front(&it->first);
-  it->second = Entry{std::move(fresh), shard.lru.begin()};
-  Result out = it->second.result;
-  if (shard.map.size() > per_shard_cap_) {
-    const std::string* victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.map.erase(*victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    cache_eviction_counter().add();
-  }
-  return out;
+  bytes_ += cost;
+  return map_.emplace(std::string(text), std::move(fresh)).first->second;
 }
 
 ParseCacheStats ParseCache::stats() const {
   ParseCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   s.bypasses = bypasses_.load(std::memory_order_relaxed);
   return s;
 }
 
-std::size_t ParseCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(const_cast<Shard&>(shard).mu);
-    n += shard.map.size();
-  }
-  return n;
+void ParseCache::add_counts(const ParseCacheStats& counts) {
+  hits_.fetch_add(counts.hits, std::memory_order_relaxed);
+  misses_.fetch_add(counts.misses, std::memory_order_relaxed);
+  bypasses_.fetch_add(counts.bypasses, std::memory_order_relaxed);
 }
 
 void ParseCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    shard.map.clear();
-    shard.lru.clear();
-  }
+  map_.clear();
+  bytes_ = 0;
 }
 
 }  // namespace ps

@@ -10,8 +10,6 @@
 
 namespace ps {
 
-namespace {
-
 Value parse_number_token(std::string_view content) {
   std::string s = to_lower(content);
   if (s.rfind("0x", 0) == 0) {
@@ -33,6 +31,8 @@ Value parse_number_token(std::string_view content) {
   }
   return Value(static_cast<std::int64_t>(std::strtoll(s.c_str(), nullptr, 10)) * mult);
 }
+
+namespace {
 
 bool is_op(const Token& t, std::string_view op) {
   return t.type == TokenType::Operator && iequals(t.content, op);
@@ -1143,7 +1143,7 @@ const ScriptBlockAst* parse_into(Arena& arena, std::string_view source) {
 }
 
 ParsedScript parse(std::string_view source) {
-  auto arena = std::make_shared<Arena>();
+  auto arena = std::make_shared<Arena>(Arena::chunk_bytes_for(source.size()));
   const ScriptBlockAst* root = parse_into(*arena, source);
   return ParsedScript(std::move(arena), root);
 }

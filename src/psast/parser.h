@@ -34,9 +34,13 @@ ParsedScript try_parse(std::string_view source, std::string* error = nullptr);
 /// Low-level entry: parses into a caller-supplied arena and returns the raw
 /// root. The tree lives exactly as long as `arena`. Throws on malformed
 /// input (the partially-built nodes stay in the arena and are finalized
-/// with it). ParseCache uses this to co-locate the pinned source text and
-/// the tree in one arena.
+/// with it). The parse table uses this to co-locate the pinned source text
+/// and the tree in one arena.
 const ScriptBlockAst* parse_into(Arena& arena, std::string_view source);
+
+/// The value of a number token's content ("42", "0x1F", "1.5e+20", "4kb"),
+/// exactly as the parser binds it.
+Value parse_number_token(std::string_view content);
 
 /// True when `source` parses cleanly.
 bool is_valid_syntax(std::string_view source);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "pslang/alias_table.h"
 #include "psast/parse_cache.h"
@@ -217,9 +218,26 @@ Value Interpreter::evaluate_script(std::string_view script) {
   return Value::from_stream(std::move(out));
 }
 
-Value Interpreter::evaluate(const Ast& node, std::string_view source) {
+Value Interpreter::evaluate(const Ast& node, std::string_view source,
+                            const NodeOverrides* overrides) {
+  // Run as one script level, like evaluate_script: a nested
+  // Invoke-Expression must not reset the step count, and `return` ends
+  // the evaluation with its value.
+  if (depth_ >= opts_.max_depth) throw LimitError("invoke depth exceeded", FailureKind::DepthLimit);
+  const NodeOverrides* const saved = std::exchange(overrides_, overrides);
+  ++depth_;
   std::vector<Value> out;
-  exec_statement(node, source, out);
+  try {
+    exec_statement(node, source, out);
+  } catch (const ReturnSignal& r) {
+    if (!r.value.is_null()) out.push_back(r.value);
+  } catch (...) {
+    --depth_;
+    overrides_ = saved;
+    throw;
+  }
+  --depth_;
+  overrides_ = saved;
   return Value::from_stream(std::move(out));
 }
 
@@ -234,6 +252,12 @@ void Interpreter::exec_statement_list(const std::vector<AstPtr>& stmts,
 void Interpreter::exec_statement(const Ast& node, std::string_view src,
                                  std::vector<Value>& out) {
   charge_step();
+  // A recovered pipeline stands for its literal, which as a statement
+  // emits its one value.
+  if (const Value* bound = override_of(node)) {
+    out.push_back(*bound);
+    return;
+  }
   switch (node.kind()) {
     case NodeKind::Pipeline:
       eval_pipeline(static_cast<const PipelineAst&>(node), src, out);
@@ -584,6 +608,7 @@ Value Interpreter::eval_pipeline(const PipelineAst& pipe, std::string_view src,
 
 Value Interpreter::eval_expr(const Ast& node, std::string_view src) {
   charge_step();
+  if (const Value* bound = override_of(node)) return *bound;
   switch (node.kind()) {
     case NodeKind::ConstantExpression:
       return static_cast<const ConstantExpressionAst&>(node).value;
@@ -785,10 +810,15 @@ Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
   if (op == "..") {
     const std::int64_t lo = need_int(lhs, "range");
     const std::int64_t hi = need_int(rhs, "range");
-    const std::int64_t n = std::llabs(hi - lo) + 1;
-    if (n > 1000000) {
+    // The span in unsigned arithmetic: `hi - lo` overflows for bounds
+    // far apart.
+    const auto ulo = static_cast<std::uint64_t>(lo);
+    const auto uhi = static_cast<std::uint64_t>(hi);
+    const std::uint64_t span = lo <= hi ? uhi - ulo : ulo - uhi;
+    if (span >= 1000000) {
       throw LimitError("range too large", FailureKind::MemoryBudget);
     }
+    const auto n = static_cast<std::int64_t>(span) + 1;
     charge_bytes(static_cast<std::size_t>(n) * sizeof(Value));
     Array out;
     out.reserve(static_cast<std::size_t>(n));

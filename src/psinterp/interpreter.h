@@ -90,11 +90,12 @@ struct InterpreterOptions {
   std::function<bool(const std::string&)> command_filter;
   /// Side-effect sink; may be null (effects silently dropped).
   EffectRecorder* recorder = nullptr;
-  /// Optional shared parse cache (parse-once pipeline): `evaluate_script`
-  /// and internal script-block / function-body invocations reuse cached
-  /// parses of identical text instead of re-parsing. Purely a performance
-  /// knob — results and thrown errors are unchanged. Non-owning; the cache
-  /// must outlive the interpreter. May be null.
+  /// Optional parse table of the current run (parse-once pipeline):
+  /// `evaluate_script` and internal script-block / function-body
+  /// invocations reuse stored parses of identical text instead of
+  /// re-parsing. Purely a performance knob — results and thrown errors are
+  /// unchanged. Non-owning, single-threaded; the table must outlive the
+  /// interpreter. May be null.
   ParseCache* parse_cache = nullptr;
   /// Optional execution budget (wall-clock deadline, cumulative allocation
   /// accounting, cancellation). Checkpointed from `charge_step()` and
@@ -120,8 +121,12 @@ class Interpreter {
   /// Throws ParseError / EvalError / LimitError / BlockedCommandError.
   Value evaluate_script(std::string_view script);
 
-  /// Evaluates a single already-parsed node against `source`.
-  Value evaluate(const Ast& node, std::string_view source);
+  /// Evaluates a single already-parsed node against `source`. Nodes in
+  /// `overrides` (non-owning, may be null) are not evaluated: their bound
+  /// value stands in for them, as if the node's text had been replaced by
+  /// a literal of that value.
+  Value evaluate(const Ast& node, std::string_view source,
+                 const NodeOverrides* overrides = nullptr);
 
   /// Pre-seeds a variable (used by the deobfuscator's variable tracing).
   void set_variable(std::string_view name, Value value);
@@ -174,13 +179,22 @@ class Interpreter {
  private:
   friend class Evaluator;
 
-  /// Parses through the configured parse cache when available; raises the
+  /// Parses through the run's parse table when configured; raises the
   /// genuine ParseError for invalid text either way. The returned handle
-  /// shares the cache's arena on a hit (one refcount bump) and keeps the
+  /// shares the table's arena on a hit (one refcount bump) and keeps the
   /// AST alive for the duration of the evaluation.
   ps::ParsedScript parse_shared(std::string_view text) const;
 
+  /// The value bound to `node` by the current evaluate() call's
+  /// overrides, or null.
+  const Value* override_of(const Ast& node) const {
+    if (overrides_ == nullptr) return nullptr;
+    const auto it = overrides_->find(&node);
+    return it != overrides_->end() ? &it->second : nullptr;
+  }
+
   InterpreterOptions opts_;
+  const NodeOverrides* overrides_ = nullptr;
   std::size_t steps_ = 0;
   std::size_t depth_ = 0;
 

@@ -53,7 +53,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
 }
 
 void Arena::grow(std::size_t min_bytes) {
-  std::size_t want = kDefaultChunkBytes;
+  std::size_t want = first_chunk_bytes_;
   if (!chunks_.empty()) {
     want = chunks_.back().capacity * 2;
     if (want > kMaxChunkBytes) want = kMaxChunkBytes;
@@ -73,12 +73,26 @@ void Arena::grow(std::size_t min_bytes) {
     }
   }
   if (chunk.mem == nullptr) {
-    chunk.mem = std::make_unique<std::byte[]>(want);
+    // Storage is bump-allocated before it is read, so skip zero-filling.
+    chunk.mem = std::make_unique_for_overwrite<std::byte[]>(want);
     chunk.capacity = want;
   }
   cursor_ = chunk.mem.get();
   limit_ = cursor_ + chunk.capacity;
   chunks_.push_back(std::move(chunk));
+}
+
+std::size_t Arena::reserved_bytes() const {
+  std::size_t n = 0;
+  for (const Chunk& chunk : chunks_) n += chunk.capacity;
+  return n;
+}
+
+std::size_t Arena::chunk_bytes_for(std::size_t source_bytes) {
+  const std::size_t need = 16 * source_bytes + 256;
+  std::size_t bytes = kMinChunkBytes;
+  while (bytes < need && bytes < kDefaultChunkBytes) bytes *= 2;
+  return bytes;
 }
 
 std::size_t Arena::thread_freelist_size() { return freelist().chunks.size(); }

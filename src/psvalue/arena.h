@@ -9,8 +9,13 @@
 /// chunks to a thread-local freelist, so a hot parse loop touches the
 /// global allocator only while growing. Nodes hold raw non-owning child
 /// pointers (see ArenaPtr), which removes the per-node unique_ptr graph
-/// teardown and lets the ParseCache share a whole tree with a single
+/// teardown and lets a parse table hand out a whole tree with a single
 /// refcount bump on the Arena.
+///
+/// The first chunk is sized by the caller (`chunk_bytes_for` maps a source
+/// length to a fitting size), so a 20-byte piece parse reserves ~1 KiB, not
+/// a full-script chunk; later chunks double up to kMaxChunkBytes. Fresh
+/// chunks are not zero-filled: storage is bump-allocated before it is read.
 ///
 /// Thread model: an Arena is single-threaded while being filled (one
 /// parser). A finished tree behind `shared_ptr<Arena>` may be *read* from
@@ -29,11 +34,16 @@ namespace ps {
 
 class Arena {
  public:
-  /// First chunk size; subsequent chunks double up to kMaxChunkBytes.
+  /// Default first chunk size; subsequent chunks double up to
+  /// kMaxChunkBytes.
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
+  static constexpr std::size_t kMinChunkBytes = 1024;
   static constexpr std::size_t kMaxChunkBytes = 1024 * 1024;
 
   Arena() = default;
+  /// An arena whose first chunk holds `first_chunk_bytes`.
+  explicit Arena(std::size_t first_chunk_bytes)
+      : first_chunk_bytes_(first_chunk_bytes) {}
   ~Arena();
 
   Arena(const Arena&) = delete;
@@ -58,9 +68,21 @@ class Arena {
   /// Total bytes handed out (not counting chunk slack).
   [[nodiscard]] std::size_t bytes_allocated() const { return bytes_allocated_; }
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+  /// Capacity of chunk `i`, in allocation order.
+  [[nodiscard]] std::size_t chunk_bytes(std::size_t i) const {
+    return chunks_[i].capacity;
+  }
+  /// Total chunk capacity held (what the arena pins in memory).
+  [[nodiscard]] std::size_t reserved_bytes() const;
   [[nodiscard]] std::size_t finalizer_count() const {
     return finalizers_.size();
   }
+
+  /// A first-chunk size for parsing `source_bytes` of text: the next power
+  /// of two >= 16 * n + 256, within [kMinChunkBytes, kDefaultChunkBytes].
+  /// Corpus parses use ~12 arena bytes per source byte, so most parses
+  /// fit in their first chunk.
+  static std::size_t chunk_bytes_for(std::size_t source_bytes);
 
   /// Diagnostics/tests: chunks parked on the calling thread's freelist.
   static std::size_t thread_freelist_size();
@@ -84,6 +106,7 @@ class Arena {
 
   void grow(std::size_t min_bytes);
 
+  std::size_t first_chunk_bytes_ = kDefaultChunkBytes;
   std::vector<Chunk> chunks_;
   std::byte* cursor_ = nullptr;
   std::byte* limit_ = nullptr;

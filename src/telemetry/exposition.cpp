@@ -43,8 +43,7 @@ constexpr HelpEntry kHelpCatalog[] = {
     {"ideobf_governor_passthrough_total", "Rung-3 passthroughs."},
     {"ideobf_multilayer_unwrap_total", "Layers unwrapped, by disguise form."},
     {"ideobf_parse_cache_bypass_total",
-     "Parse-cache lookups bypassed (oversized input not cached)."},
-    {"ideobf_parse_cache_eviction_total", "Parse-cache evictions."},
+     "Parse-table lookups past the per-run bound, parsed uncached."},
     {"ideobf_parse_cache_hit_total", "Parse-cache hits."},
     {"ideobf_parse_cache_lookup_total", "ParseCache::get calls."},
     {"ideobf_parse_cache_miss_total", "Parse-cache misses."},

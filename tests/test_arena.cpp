@@ -1,10 +1,11 @@
 // Memory-model tests for the arena/zero-copy layer: bump-pointer Arena
-// lifetime and finalizer discipline, ArenaPtr semantics, token string_views
-// surviving TokenStream moves/copies, and arena-backed cached parses
-// outliving their ParseCache entry.
+// lifetime and finalizer discipline, first chunks sized to the parsed text,
+// ArenaPtr semantics, token string_views surviving TokenStream
+// moves/copies, and arena-backed parses outliving their ParseCache entry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -113,6 +114,67 @@ TEST(Arena, ChunksParkOnThreadFreelistAndReuse) {
   EXPECT_EQ(Arena::thread_freelist_size(), 0u);
 }
 
+// --- Arenas sized to the text ---------------------------------------------
+
+TEST(Arena, FirstChunkSizeFollowsTheText) {
+  EXPECT_EQ(Arena::chunk_bytes_for(0), Arena::kMinChunkBytes);
+  EXPECT_EQ(Arena::chunk_bytes_for(20), Arena::kMinChunkBytes);   // 576 B
+  EXPECT_EQ(Arena::chunk_bytes_for(100), 2048u);                  // 1856 B
+  EXPECT_EQ(Arena::chunk_bytes_for(1000), 16384u);                // 16256 B
+  EXPECT_EQ(Arena::chunk_bytes_for(1u << 20), Arena::kDefaultChunkBytes);
+}
+
+TEST(Arena, SmallParseReservesOneSmallChunk) {
+  // No parked chunk may stand in for the sized one.
+  Arena::trim_thread_freelist();
+  const std::string text = "Write-Host 'hello!'";  // ~20 bytes
+  const ParsedScript parsed = parse(text);
+  ASSERT_TRUE(parsed);
+  const Arena& arena = *parsed.arena();
+  EXPECT_EQ(arena.chunk_count(), 1u);
+  EXPECT_LE(arena.reserved_bytes(), 4096u);
+  EXPECT_GE(arena.reserved_bytes(), arena.bytes_allocated());
+}
+
+TEST(Arena, LargeScriptChunksDoubleUpToTheCap) {
+  Arena::trim_thread_freelist();
+  std::string text;
+  for (int i = 0; text.size() < 100 * 1024; ++i) {
+    text += "$v" + std::to_string(i) + " = ('a' + 'b').ToUpper() + " +
+            std::to_string(i) + "\n";
+  }
+  const ParsedScript parsed = parse(text);
+  ASSERT_TRUE(parsed);
+  const Arena& arena = *parsed.arena();
+  ASSERT_GE(arena.chunk_count(), 2u);
+  EXPECT_EQ(arena.chunk_bytes(0), Arena::kDefaultChunkBytes);
+  for (std::size_t i = 1; i < arena.chunk_count(); ++i) {
+    EXPECT_EQ(arena.chunk_bytes(i),
+              std::min(arena.chunk_bytes(i - 1) * 2, Arena::kMaxChunkBytes))
+        << "chunk " << i;
+  }
+  EXPECT_EQ(arena.chunk_bytes(arena.chunk_count() - 1), Arena::kMaxChunkBytes);
+}
+
+TEST(Arena, SizedChunksReturnToAndComeBackFromTheFreelist) {
+  Arena::trim_thread_freelist();
+  const std::string text = "$a = 'x' + 'y'";
+  std::size_t first_chunk = 0;
+  {
+    const ParsedScript parsed = parse(text);
+    first_chunk = parsed.arena()->chunk_bytes(0);
+    EXPECT_EQ(Arena::thread_freelist_size(), 0u);
+  }
+  EXPECT_EQ(Arena::thread_freelist_size(), 1u);  // parked on teardown
+  {
+    const ParsedScript again = parse(text);
+    EXPECT_EQ(Arena::thread_freelist_size(), 0u);  // taken back
+    EXPECT_EQ(again.arena()->chunk_bytes(0), first_chunk);
+  }
+  EXPECT_EQ(Arena::thread_freelist_size(), 1u);
+  Arena::trim_thread_freelist();
+}
+
 TEST(ArenaPtr, BehavesLikeANonOwningUniquePtr) {
   Arena arena;
   ArenaPtr<std::string> p = arena.make<std::string>("hello");
@@ -201,7 +263,8 @@ TEST(ParsedScript, SharesOneArenaAcrossCopies) {
 }
 
 TEST(ParsedScript, CachedAstOutlivesCacheEviction) {
-  // Two entries total, so a handful of inserts evicts everything.
+  // Two entries total: later texts bypass the table, and clearing it drops
+  // every stored parse.
   ParseCache cache(2);
   const std::string text = "$x = 1; Write-Host $x";
   ParseCache::Result held = cache.get(text);

@@ -63,7 +63,7 @@ TEST(FrontendRegistry2, SniffLanguageSeparatesTheBuiltins) {
 TEST(FrontendRegistry2, CreateAllInstantiatesEveryFrontend) {
   const Options opts;
   const auto frontends =
-      FrontendRegistry::instance().create_all(opts, nullptr);
+      FrontendRegistry::instance().create_all(opts);
   ASSERT_GE(frontends.size(), 2u);
   EXPECT_EQ(frontends[0]->name(), kDefaultLanguage);
   for (const auto& fe : frontends) {

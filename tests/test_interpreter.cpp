@@ -439,7 +439,12 @@ TEST(Interp, StepLimitStopsInfiniteLoop) {
   EXPECT_THROW(interp.evaluate_script("while ($true) { $x = 1 }"), LimitError);
 }
 
-TEST(Interp, RangeLimit) { EXPECT_THROW(run("0..100000000"), LimitError); }
+TEST(Interp, RangeLimit) {
+  EXPECT_THROW(run("0..100000000"), LimitError);
+  // Bounds whose difference overflows int64.
+  EXPECT_THROW(run("(-9223372036854775807 - 1)..3"), LimitError);
+  EXPECT_THROW(run("9223372036854775807..-2"), LimitError);
+}
 
 TEST(Interp, DepthLimitOnRecursiveIex) {
   InterpreterOptions opts;

@@ -93,6 +93,24 @@ TEST(MemoScope, BatchMatchesFreshEnginePerScript) {
   }
 }
 
+TEST(MemoScope, RewrittenPieceAndItsVerbatimTwinMatchMemoOff) {
+  // `Write-Output $n.Length` rewrites to the text of the verbatim
+  // `Write-Output 42.Length`, so the two pieces share a memo key: each must
+  // still be answered as its text evaluates, in either order.
+  Options memo_off;
+  memo_off.recovery.memo = false;
+  for (const char* source :
+       {"$n = 42; Write-Output $n.Length; Write-Output 42.Length",
+        "$n = 42; Write-Output 42.Length; Write-Output $n.Length"}) {
+    Request request;
+    request.source = source;
+    const Response with_memo = Engine{}.handle(request);
+    const Response without_memo = Engine(memo_off).handle(request);
+    expect_same_response(with_memo, without_memo, request.source);
+    EXPECT_EQ(with_memo.result, "$n = 42\n'42.Length'\n'42.Length'\n");
+  }
+}
+
 TEST(MemoScope, JsScriptsDoNotSeeEachOthersValues) {
   // Two stagers that differ only in the traced URL: the second must not be
   // answered with the first one's value.

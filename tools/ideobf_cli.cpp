@@ -190,11 +190,9 @@ void print_cache_stats(std::ostream& os, int memo_hits, int memo_misses) {
       reg.counter("ideobf_parse_cache_miss_total").value();
   const std::uint64_t bypasses =
       reg.counter("ideobf_parse_cache_bypass_total").value();
-  const std::uint64_t evictions =
-      reg.counter("ideobf_parse_cache_eviction_total").value();
   const std::uint64_t lookups = hits + misses + bypasses;
   os << "# parse-cache: hits=" << hits << " misses=" << misses
-     << " bypasses=" << bypasses << " evictions=" << evictions << " hit-rate="
+     << " bypasses=" << bypasses << " hit-rate="
      << (lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups) << "\n";
   const int memo_lookups = memo_hits + memo_misses;
   os << "# recovery-memo: hits=" << memo_hits << " misses=" << memo_misses
