@@ -39,6 +39,12 @@ struct RecoveryStats {
   /// Piece and assignment evaluations that parsed their rewritten text
   /// instead of evaluating their own subtree (the parse path).
   int pieces_reparsed = 0;
+  /// Tree-walk entries refused before evaluating: the tree showed how
+  /// the walk would fail (an unbound variable, a blocked command name).
+  int pieces_refused = 0;
+  /// Pure pieces whose value, lacking a literal form, was bound for
+  /// enclosing pieces to read instead of evaluating them again.
+  int pieces_bound = 0;
   /// Most severe per-piece failure seen (failure_severity order); the
   /// governor surfaces it as the item classification when nothing worse
   /// aborted the run.

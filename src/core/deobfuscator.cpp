@@ -31,6 +31,8 @@ void merge(RecoveryStats& into, const RecoveryStats& from) {
   into.pieces_folded += from.pieces_folded;
   into.treewalk_fallbacks += from.treewalk_fallbacks;
   into.pieces_reparsed += from.pieces_reparsed;
+  into.pieces_refused += from.pieces_refused;
+  into.pieces_bound += from.pieces_bound;
   into.worst_failure = ps::worse_failure(into.worst_failure, from.worst_failure);
 }
 

@@ -4,11 +4,13 @@
 #include <memory>
 #include <unordered_set>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "core/blocklist.h"
 #include "core/failure.h"
@@ -60,6 +62,14 @@ telemetry::Counter& fold_counter() {
 telemetry::Counter& treewalk_fallback_counter() {
   static auto& c = telemetry::registry().counter(
       "ideobf_recovery_treewalk_fallback_total");
+  return c;
+}
+
+/// Tree-walk entries the seeded interpreter refused before evaluating
+/// (a subset of the tree-walk fallbacks).
+telemetry::Counter& piece_refused_counter() {
+  static auto& c =
+      telemetry::registry().counter("ideobf_recovery_piece_refused_total");
   return c;
 }
 
@@ -308,10 +318,14 @@ class Reconstructor {
   RecoveryStats& stats_;
   TraceSink* trace_;
   ps::ParseCache* cache_;  ///< the run's parse table; may be null
-  /// Replaced nodes of this pass -> the value their literal reparses to.
-  /// Recovery is post-order, so a piece's replaced children are bound
-  /// before the piece itself evaluates.
+  /// Replaced nodes of this pass -> the value their literal reparses to,
+  /// and evaluated pure pieces with no literal form -> their value and
+  /// cost. Recovery is post-order, so a piece's children are bound before
+  /// the piece itself evaluates.
   ps::NodeOverrides overrides_;
+  /// The value-bound nodes in overrides_, in binding (post) order, so a
+  /// node's bound descendants are a suffix.
+  std::vector<const Ast*> value_bound_;
   /// End offsets of this pass's replaced nodes: a literal spliced right
   /// after another one may merge with it.
   std::unordered_set<std::size_t> replaced_ends_;
@@ -453,13 +467,21 @@ class Reconstructor {
            !(piece.rewritten && options_.reparse_rewritten);
   }
 
+  /// The overrides a subtree-path evaluation of `node` reads: null when
+  /// nothing below it is bound.
+  const ps::NodeOverrides* overrides_under(const Rebuilt& piece,
+                                           const Ast& node) const {
+    return piece.rewritten || (!value_bound_.empty() &&
+                               value_bound_.back()->start() >= node.start())
+               ? &overrides_
+               : nullptr;
+  }
+
   /// Verbatim pieces and replayable rewritten ones take the subtree path;
   /// the rest parse their text, through the run's parse table if any.
   PieceRoot piece_root(const Rebuilt& piece, const Ast& node,
                        ps::ParsedScript& parsed) const {
-    if (subtree_path(piece)) {
-      return {&node, src_, piece.rewritten ? &overrides_ : nullptr};
-    }
+    if (subtree_path(piece)) return {&node, src_, overrides_under(piece, node)};
     parsed = cache_ != nullptr ? cache_->get(piece.text).ast
                                : ps::try_parse(piece.text);
     return {parsed != nullptr ? single_statement(*parsed) : nullptr,
@@ -534,12 +556,70 @@ class Reconstructor {
   /// token, binds the value it reparses to, so enclosing pieces can
   /// evaluate their subtree; otherwise they parse their text.
   Rebuilt replaced(const Ast& node, std::string literal) {
+    release_values_under(node);
     std::optional<Value> value = literal_value(literal);
     const bool replayable =
         value.has_value() && splices_as_token(node, literal);
     if (replayable) overrides_.insert_or_assign(&node, std::move(*value));
     replaced_ends_.insert(node.end());
     return {std::move(literal), true, replayable};
+  }
+
+  /// Drops the value bindings of nodes inside `node`: once `node` is
+  /// bound, or its statement has finished, nothing reads them.
+  void release_values_under(const Ast& node) {
+    while (!value_bound_.empty() &&
+           value_bound_.back()->start() >= node.start() &&
+           value_bound_.back()->end() <= node.end()) {
+      overrides_.erase(value_bound_.back());
+      value_bound_.pop_back();
+    }
+  }
+
+  /// Binds a pure piece's value, which has no literal form, with its
+  /// evaluation's cost, for enclosing pieces to read instead of evaluating
+  /// the piece again. Values an index assignment could alias are copied on
+  /// every read; objects, which carry state, and pieces that set
+  /// `$matches` are never bound, nor is a pipeline with no output (its
+  /// value would read as one `$null`).
+  void bind_value(const Ast& node, ps::BoundValue bound) {
+    if (!bindable(bound.value) || writes_matches(node) ||
+        (node.kind() == NodeKind::Pipeline && bound.value.is_null())) {
+      return;
+    }
+    release_values_under(node);
+    overrides_.insert_or_assign(&node, std::move(bound));
+    value_bound_.push_back(&node);
+    stats_.pieces_bound++;
+  }
+
+  static bool bindable(const Value& v) {
+    if (v.is_object()) return false;
+    if (v.is_array()) {
+      for (const Value& item : v.get_array()) {
+        if (!bindable(item)) return false;
+      }
+    }
+    if (v.is_hashtable()) {
+      for (const auto& [k, item] : v.get_hashtable().entries) {
+        if (!bindable(k) || !bindable(item)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Whether evaluating `node` can run a `-match` (which assigns
+  /// `$matches`), not counting bound nodes, which are not evaluated.
+  bool writes_matches(const Ast& node) const {
+    if (node.kind() == NodeKind::BinaryExpression) {
+      const std::string& op =
+          static_cast<const ps::BinaryExpressionAst&>(node).op;
+      if (op == "-match" || op == "-imatch" || op == "-cmatch") return true;
+    }
+    for (const Ast* child : node.children()) {
+      if (overrides_.count(child) == 0 && writes_matches(*child)) return true;
+    }
+    return false;
   }
 
   bool is_loop_or_conditional(NodeKind kind) const {
@@ -581,7 +661,18 @@ class Reconstructor {
       self.replayable = false;
     }
     self.text = splice(node, kids);
+    self = recover(node, std::move(self));
 
+    const Ast* parent = node.parent();
+    if (parent != nullptr && (parent->kind() == NodeKind::NamedBlock ||
+                              parent->kind() == NodeKind::StatementBlock)) {
+      release_values_under(node);  // a finished statement
+    }
+    return self;
+  }
+
+  /// Algorithm 1's action at `node`, once its children are rebuilt.
+  Rebuilt recover(const Ast& node, Rebuilt self) {
     switch (node.kind()) {
       case NodeKind::VariableExpression:
         return handle_variable(static_cast<const ps::VariableExpressionAst&>(node),
@@ -599,7 +690,6 @@ class Reconstructor {
       default:
         break;
     }
-
     if (ps::is_recoverable_kind(node.kind())) {
       return try_recover(std::move(self), node);
     }
@@ -720,7 +810,7 @@ class Reconstructor {
       auto interp = make_interpreter();
       if (subtree_path(self)) {
         // The assignment's own subtree, replaced nodes bound.
-        interp->evaluate(st, src_, self.rewritten ? &overrides_ : nullptr);
+        interp->evaluate(st, src_, overrides_under(self, st));
       } else {
         stats_.pieces_reparsed++;
         interp->evaluate_script(self.text);
@@ -739,17 +829,17 @@ class Reconstructor {
       throw;  // item-level envelope: aborts the pass, not just this record
     } catch (const FaultError&) {
       throw;  // injected faults must reach the governor
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       // Unknown variables / blocked commands / limits: drop the record
       // (Algorithm 1 lines 15-18) but remember what kind of failure it was
       // for the item classification.
-      record_piece_failure(classify_current_exception().first);
+      record_piece_failure(classify(e).first);
       table_.erase(bare);
     }
     return self;
   }
 
-  /// Executes a piece through the two-rung evaluation ladder:
+  /// Executes a piece through the evaluation ladder:
   ///
   ///   1. classify the piece with is_pure_piece();
   ///   2. consult the run's memo — pure pieces under the constant pure
@@ -757,10 +847,14 @@ class Reconstructor {
   ///      traced-table fingerprint;
   ///   3. on a miss, evaluate: *fold* pure pieces by tree-walking them on
   ///      the shared table-free interpreter, and tree-walk everything else
-  ///      on a freshly seeded interpreter (*fallback*).
+  ///      on a freshly seeded interpreter (*fallback*), unless that
+  ///      interpreter refuses the piece because the tree already shows how
+  ///      the walk would fail.
   ///
-  /// The returned literal is "" when the piece stays as-is (failed
-  /// execution, no literal form, or no progress).
+  /// A folded piece on the subtree path whose value has no literal form is
+  /// bound for its enclosing pieces (bind_value). The returned literal is
+  /// "" when the piece stays as-is (failed execution, no literal form, or
+  /// no progress).
   std::string execute_piece(const Rebuilt& piece, const Ast& node) {
     const std::string& text = piece.text;
     telemetry::PhaseSpan piece_span(telemetry::Phase::PieceExecution,
@@ -788,7 +882,6 @@ class Reconstructor {
       }
       stats_.memo_misses++;
     }
-    std::string literal;
     // Observe stage latency on scope exit so throwing evaluations (the
     // common case for hostile pieces) still charge their elapsed
     // nanoseconds to the stage.
@@ -809,37 +902,125 @@ class Reconstructor {
     const bool timed = telemetry::enabled();
     const bool subtree = root.node == &node;
     if (!subtree) stats_.pieces_reparsed++;
+    ps::BoundValue result(Value{});  // the value, and a fold's cost
+    ps::FailureKind failure;
+    if (pure) {
+      stats_.pieces_folded++;
+      fold_counter().add();
+      if (timed) timer.start(fold_histogram());
+      failure = fold(root, result);
+    } else {
+      stats_.treewalk_fallbacks++;
+      treewalk_fallback_counter().add();
+      if (timed) timer.start(fallback_histogram());
+      failure = tree_walk(root, subtree, text, result.value);
+    }
+    std::string literal;
+    if (failure != ps::FailureKind::None) {
+      record_piece_failure(failure);  // blocked / unknown / limit / error
+    } else {
+      literal = value_to_literal(result.value);
+    }
+    timer.finish();  // observe now; don't charge binding or memo time below
+    if (failure == ps::FailureKind::None && literal.empty() && pure &&
+        subtree && options_.bind_values) {
+      bind_value(node, std::move(result));
+    }
+    if (literal == text) literal.clear();  // no progress
+    if (options_.memo != nullptr) options_.memo->store(ctx, text, literal);
+    return literal;
+  }
+
+  /// Folds a pure piece on the shared interpreter. `result` receives the
+  /// value, the steps past the one that reaches the node from an enclosing
+  /// piece — a standalone evaluation enters an expression through
+  /// exec_statement and eval_expr, a pipeline through exec_statement
+  /// alone — and the budget bytes the evaluation charged.
+  ps::FailureKind fold(const PieceRoot& root, ps::BoundValue& result) {
     try {
-      Value result;
-      if (pure) {
-        stats_.pieces_folded++;
-        fold_counter().add();
-        if (timed) timer.start(fold_histogram());
-        ps::Interpreter& interp = fold_interpreter();
-        // A fresh step allowance per piece, as a fresh interpreter has.
-        interp.reset_steps();
-        result = interp.evaluate(*root.node, root.source, root.overrides);
-      } else {
-        stats_.treewalk_fallbacks++;
-        treewalk_fallback_counter().add();
-        if (timed) timer.start(fallback_histogram());
-        auto interp = make_interpreter();
-        result = subtree ? interp->evaluate(node, src_, root.overrides)
-                         : interp->evaluate_script(text);
+      ps::Interpreter& interp = fold_interpreter();
+      // A fresh step allowance per piece, as a fresh interpreter has.
+      interp.reset_steps();
+      const std::size_t bytes0 =
+          options_.budget != nullptr ? options_.budget->bytes_charged() : 0;
+      result.value = interp.evaluate(*root.node, root.source, root.overrides);
+      const std::size_t entry =
+          root.node->kind() == NodeKind::Pipeline ? 1 : 2;
+      result.steps = interp.steps() - std::min(entry, interp.steps());
+      if (options_.budget != nullptr) {
+        result.bytes = options_.budget->bytes_charged() - bytes0;
       }
-      literal = value_to_literal(result);
+      return ps::FailureKind::None;
     } catch (const ps::BudgetError&) {
       throw;  // deadline / allocation / cancellation abort the whole pass
     } catch (const FaultError&) {
       throw;  // injected faults must reach the governor
-    } catch (const std::exception&) {
-      record_piece_failure(classify_current_exception().first);
-      literal.clear();  // blocked / unknown / limit / error: keep the piece
+    } catch (const std::exception& e) {
+      return classify(e).first;
     }
-    timer.finish();  // observe now; don't charge memo-store time below
-    if (literal == text) literal.clear();  // no progress
-    if (options_.memo != nullptr) options_.memo->store(ctx, text, literal);
-    return literal;
+  }
+
+  /// Tree-walks an impure piece on a freshly seeded interpreter, after
+  /// asking it for a refusal. A refused piece fails with the refusal's
+  /// kind without being evaluated; it passes one budget checkpoint, as
+  /// the walk's first step would.
+  ps::FailureKind tree_walk(const PieceRoot& root, bool subtree,
+                            const std::string& text, Value& result) {
+    std::unique_ptr<ps::Interpreter> interp;
+    std::optional<ps::FailureKind> refused;
+    try {
+      interp = make_interpreter();
+      if (root.node != nullptr) {
+        // evaluate_script counts the parse path's steps from zero.
+        if (!subtree) interp->reset_steps();
+        refused = interp->refusal(*root.node, root.overrides);
+      }
+      if (!refused) {
+        result = walk(*interp, root, subtree, text);
+        return ps::FailureKind::None;
+      }
+    } catch (const ps::BudgetError&) {
+      throw;
+    } catch (const FaultError&) {
+      throw;
+    } catch (const std::exception& e) {
+      return classify(e).first;
+    }
+    stats_.pieces_refused++;
+    piece_refused_counter().add();
+    if (options_.budget != nullptr) options_.budget->checkpoint();
+    if (options_.verify_refusals) {
+      verify_refusal(*interp, root, subtree, text, *refused);
+    }
+    return *refused;
+  }
+
+  Value walk(ps::Interpreter& interp, const PieceRoot& root, bool subtree,
+             const std::string& text) {
+    return subtree ? interp.evaluate(*root.node, root.source, root.overrides)
+                   : interp.evaluate_script(text);
+  }
+
+  /// RecoveryOptions::verify_refusals: walks a refused piece anyway and
+  /// raises std::logic_error unless it fails with the refusal's kind.
+  void verify_refusal(ps::Interpreter& interp, const PieceRoot& root,
+                      bool subtree, const std::string& text,
+                      ps::FailureKind refused) {
+    ps::FailureKind walked = ps::FailureKind::None;
+    try {
+      (void)walk(interp, root, subtree, text);
+    } catch (const ps::BudgetError&) {
+      throw;
+    } catch (const FaultError&) {
+      throw;
+    } catch (const std::exception& e) {
+      walked = classify(e).first;
+    }
+    if (walked != refused) {
+      throw std::logic_error("refusal mismatch on `" + text + "`: refused " +
+                             ps::to_string(refused) + ", the walk gave " +
+                             ps::to_string(walked));
+    }
   }
 
   /// Books a successful recovery ("" keeps the piece as rebuilt).

@@ -101,6 +101,14 @@ struct RecoveryOptions {
   /// parses its rebuilt text, as before subtree evaluation existed. The
   /// subtree path must give the same output (DESIGN.md §7, invariant 8).
   bool reparse_rewritten = false;
+  /// Check for tests: every refused piece is evaluated anyway, and a
+  /// failure kind other than the refusal's raises std::logic_error out of
+  /// the pass (DESIGN.md §7, invariant 9).
+  bool verify_refusals = false;
+  /// Reference for tests: false binds no evaluated value, so every piece
+  /// evaluates its whole subtree, as before binding existed. Limits and
+  /// outputs must not change either way.
+  bool bind_values = true;
 };
 
 /// True when evaluating `root` (a recoverable piece, or the single statement

@@ -726,10 +726,21 @@ bool is_scope_kind(NodeKind kind);
 /// Links parent pointers across the whole subtree rooted at `root`.
 void link_parents(Ast& root);
 
+/// A value bound to a node, with what evaluating the node would have cost:
+/// the evaluation steps past the one that reaches the node, and the budget
+/// bytes it charges. A literal's binding costs nothing.
+struct BoundValue {
+  BoundValue(Value value, std::size_t steps = 0, std::size_t bytes = 0)
+      : value(std::move(value)), steps(steps), bytes(bytes) {}
+  Value value;
+  std::size_t steps;
+  std::size_t bytes;
+};
+
 /// Values bound to nodes of one tree, keyed by node address: what an
 /// evaluation of that tree reads instead of evaluating the node (see
 /// Interpreter::evaluate).
-using NodeOverrides = std::unordered_map<const Ast*, Value>;
+using NodeOverrides = std::unordered_map<const Ast*, BoundValue>;
 
 /// Owning handle for one parse: the Arena holding every node plus the root.
 /// Behaves like a (const) smart pointer to the root. Copies share the arena

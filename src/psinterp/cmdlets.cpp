@@ -12,9 +12,6 @@
 
 namespace ps {
 
-namespace {
-
-/// Parameters that never consume a following argument.
 bool is_switch_parameter(const std::string& lower) {
   static const char* kSwitches[] = {
       "force",   "asplaintext", "passthru",  "unique",   "descending",
@@ -28,6 +25,8 @@ bool is_switch_parameter(const std::string& lower) {
   }
   return false;
 }
+
+namespace {
 
 std::string join_display(const std::vector<Value>& vals, const char* sep = " ") {
   std::string out;
@@ -86,24 +85,7 @@ void Interpreter::exec_command(const CommandAst& cmd, std::string_view src,
     name = name_value.to_display_string();
   }
 
-  std::string lower = to_lower(name);
-  if (auto it = user_aliases_.find(lower); it != user_aliases_.end()) {
-    lower = to_lower(it->second);
-  }
-  if (auto full = AliasTable::standard().resolve(lower)) {
-    lower = to_lower(*full);
-  }
-  // Strip path/extension decorations: ".\x.ps1", "C:\...\powershell.exe".
-  if (const auto slash = lower.find_last_of("/\\"); slash != std::string::npos) {
-    const std::string base = lower.substr(slash + 1);
-    if (base == "powershell.exe" || base == "powershell" || base == "pwsh" ||
-        base == "cmd.exe" || base == "cmd") {
-      lower = base;
-    }
-  }
-  if (lower == "powershell.exe") lower = "powershell";
-  if (lower == "cmd.exe") lower = "cmd";
-
+  const std::string lower = resolve_command_name(name);
   check_blocked(lower);
 
   // User-defined function?
@@ -148,6 +130,27 @@ void Interpreter::exec_command(const CommandAst& cmd, std::string_view src,
     call.args.push_back(eval_expr(el, src));
   }
   run_command(call, out);
+}
+
+std::string Interpreter::resolve_command_name(const std::string& name) const {
+  std::string lower = to_lower(name);
+  if (auto it = user_aliases_.find(lower); it != user_aliases_.end()) {
+    lower = to_lower(it->second);
+  }
+  if (auto full = AliasTable::standard().resolve(lower)) {
+    lower = to_lower(*full);
+  }
+  // Strip path/extension decorations: ".\x.ps1", "C:\...\powershell.exe".
+  if (const auto slash = lower.find_last_of("/\\"); slash != std::string::npos) {
+    const std::string base = lower.substr(slash + 1);
+    if (base == "powershell.exe" || base == "powershell" || base == "pwsh" ||
+        base == "cmd.exe" || base == "cmd") {
+      lower = base;
+    }
+  }
+  if (lower == "powershell.exe") lower = "powershell";
+  if (lower == "cmd.exe") lower = "cmd";
+  return lower;
 }
 
 void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {

@@ -29,6 +29,26 @@ std::vector<Value> flatten_stream(const Value& v) {
   return out;
 }
 
+/// A copy of `v` that shares no array, byte or hashtable storage with it,
+/// so an in-place index assignment on the copy leaves `v` as it was.
+Value detached_copy(const Value& v) {
+  if (v.is_array()) {
+    Array out;
+    out.reserve(v.get_array().size());
+    for (const Value& item : v.get_array()) out.push_back(detached_copy(item));
+    return Value(std::move(out));
+  }
+  if (v.is_bytes()) return Value(Bytes(v.get_bytes()));
+  if (v.is_hashtable()) {
+    Hashtable out;
+    for (const auto& [k, item] : v.get_hashtable().entries) {
+      out.entries.emplace_back(detached_copy(k), detached_copy(item));
+    }
+    return Value(std::move(out));
+  }
+  return v;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ construction
@@ -123,19 +143,44 @@ Value Interpreter::eval_variable(const VariableExpressionAst& var) {
     if (it != globals_.end()) return it->second;
     // fall through to normal lookup
   }
+  switch (automatic_variable(bare)) {
+    case AutomaticVariable::Constant:
+      return automatic_variable_value(bare);
+    case AutomaticVariable::PreferenceDefault:
+      if (find_variable(bare) == nullptr) return automatic_variable_value(bare);
+      break;
+    case AutomaticVariable::None:
+      break;
+  }
+  if (const Value* v = find_variable(bare)) return *v;
+  if (opts_.strict_variables) throw EvalError("unknown variable: $" + bare);
+  return Value();
+}
+
+AutomaticVariable automatic_variable(std::string_view bare) {
+  if (bare == "true" || bare == "false" || bare == "null" ||
+      bare == "pshome" || bare == "psscriptroot" || bare == "shellid" ||
+      bare == "home" || bare == "pwd" || bare == "executioncontext" ||
+      bare == "psversiontable") {
+    return AutomaticVariable::Constant;
+  }
+  if (bare == "verbosepreference" || bare == "warningpreference" ||
+      bare == "debugpreference" || bare == "erroractionpreference") {
+    return AutomaticVariable::PreferenceDefault;
+  }
+  return AutomaticVariable::None;
+}
+
+Value automatic_variable_value(std::string_view bare) {
   if (bare == "true") return Value(true);
   if (bare == "false") return Value(false);
-  if (bare == "null") return Value();
   if (bare == "pshome" || bare == "psscriptroot") return Value(std::string(kPsHome));
   if (bare == "shellid") return Value(std::string(kShellId));
-  if (bare == "home") return Value(std::string("C:\\Users\\user"));
-  if (bare == "pwd") return Value(std::string("C:\\Users\\user"));
+  if (bare == "home" || bare == "pwd") return Value(std::string("C:\\Users\\user"));
+  if (bare == "erroractionpreference") return Value(std::string("Continue"));
   if (bare == "verbosepreference" || bare == "warningpreference" ||
       bare == "debugpreference") {
-    if (find_variable(bare) == nullptr) return Value(std::string("SilentlyContinue"));
-  }
-  if (bare == "erroractionpreference") {
-    if (find_variable(bare) == nullptr) return Value(std::string("Continue"));
+    return Value(std::string("SilentlyContinue"));
   }
   if (bare == "executioncontext") {
     return Value(std::shared_ptr<PsObject>(std::make_shared<ExecutionContextObject>()));
@@ -145,9 +190,7 @@ Value Interpreter::eval_variable(const VariableExpressionAst& var) {
     ht.entries.emplace_back(Value("PSVersion"), Value("5.1.19041"));
     return Value(std::move(ht));
   }
-  if (const Value* v = find_variable(bare)) return *v;
-  if (opts_.strict_variables) throw EvalError("unknown variable: $" + bare);
-  return Value();
+  return Value();  // $null
 }
 
 // ------------------------------------------------------------------ limits
@@ -164,6 +207,16 @@ void Interpreter::charge_bytes(std::size_t bytes, bool enforce_max_string) {
     throw LimitError("string too large", FailureKind::MemoryBudget);
   }
   if (opts_.budget != nullptr) opts_.budget->charge_bytes(bytes);
+}
+
+bool Interpreter::replay(const BoundValue& bound) {
+  if (bound.steps > opts_.max_steps - steps_) return false;
+  if (opts_.budget != nullptr && bound.bytes != 0) {
+    if (!opts_.budget->fits_bytes(bound.bytes)) return false;
+    opts_.budget->charge_bytes(bound.bytes);
+  }
+  steps_ += bound.steps;
+  return true;
 }
 
 void Interpreter::check_blocked(const std::string& command_lower) {
@@ -252,10 +305,10 @@ void Interpreter::exec_statement_list(const std::vector<AstPtr>& stmts,
 void Interpreter::exec_statement(const Ast& node, std::string_view src,
                                  std::vector<Value>& out) {
   charge_step();
-  // A recovered pipeline stands for its literal, which as a statement
-  // emits its one value.
-  if (const Value* bound = override_of(node)) {
-    out.push_back(*bound);
+  // A bound pipeline stands for its value, which as a statement it emits.
+  if (const BoundValue* bound = override_of(node);
+      bound != nullptr && replay(*bound)) {
+    out.push_back(detached_copy(bound->value));
     return;
   }
   switch (node.kind()) {
@@ -608,7 +661,10 @@ Value Interpreter::eval_pipeline(const PipelineAst& pipe, std::string_view src,
 
 Value Interpreter::eval_expr(const Ast& node, std::string_view src) {
   charge_step();
-  if (const Value* bound = override_of(node)) return *bound;
+  if (const BoundValue* bound = override_of(node);
+      bound != nullptr && replay(*bound)) {
+    return detached_copy(bound->value);
+  }
   switch (node.kind()) {
     case NodeKind::ConstantExpression:
       return static_cast<const ConstantExpressionAst&>(node).value;

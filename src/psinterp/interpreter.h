@@ -175,6 +175,18 @@ class Interpreter {
   /// Resets the step counter, as `evaluate_script` does at depth 0 — lets a
   /// pooled interpreter give each evaluated piece a fresh step allowance.
   void reset_steps() { steps_ = 0; }
+  /// Steps charged since the last reset.
+  std::size_t steps() const { return steps_; }
+
+  /// How `evaluate(node, source, overrides)` is already known to fail,
+  /// decided without evaluating anything: follows the evaluation order down
+  /// to the first operation that can fail and returns EvalError for a
+  /// strict-mode read of a variable this interpreter does not bind, or
+  /// BlockedCommand for a constant command name the filter refuses. Nullopt
+  /// when that operation can succeed, depends on a value, or lies past the
+  /// step limit.
+  std::optional<FailureKind> refusal(const Ast& node,
+                                     const NodeOverrides* overrides) const;
 
  private:
   friend class Evaluator;
@@ -185,13 +197,39 @@ class Interpreter {
   /// AST alive for the duration of the evaluation.
   ps::ParsedScript parse_shared(std::string_view text) const;
 
-  /// The value bound to `node` by the current evaluate() call's
-  /// overrides, or null.
-  const Value* override_of(const Ast& node) const {
+  /// The binding of `node` in the current evaluate() call's overrides, or
+  /// null.
+  const BoundValue* override_of(const Ast& node) const {
     if (overrides_ == nullptr) return nullptr;
     const auto it = overrides_->find(&node);
     return it != overrides_->end() ? &it->second : nullptr;
   }
+  /// Charges a binding's recorded steps and bytes, as evaluating its node
+  /// would. False, charging nothing, when either would exceed its limit:
+  /// then the node is evaluated, so the limit trips where it would have.
+  bool replay(const BoundValue& bound);
+
+  /// A command name as dispatch sees it: user and standard aliases
+  /// resolved, lowercased, path and `.exe` decorations of the shells
+  /// stripped.
+  std::string resolve_command_name(const std::string& name) const;
+
+  /// The evaluation path refusal() follows: the overrides and the step
+  /// count so far.
+  struct RefusalPath {
+    const NodeOverrides* overrides;
+    std::size_t steps;
+  };
+  std::optional<FailureKind> refuse_statement(const Ast& node,
+                                              RefusalPath& path) const;
+  std::optional<FailureKind> refuse_pipeline(const PipelineAst& pipe,
+                                             RefusalPath& path) const;
+  std::optional<FailureKind> refuse_command(const CommandAst& cmd,
+                                            RefusalPath& path) const;
+  std::optional<FailureKind> refuse_expr(const Ast& node,
+                                         RefusalPath& path) const;
+  std::optional<FailureKind> refuse_variable(
+      const VariableExpressionAst& var) const;
 
   InterpreterOptions opts_;
   const NodeOverrides* overrides_ = nullptr;
@@ -272,6 +310,17 @@ class Interpreter {
   std::string simulated_download(const std::string& url);
   void record_network_for_url(const std::string& url);
 };
+
+/// How the interpreter answers an automatic variable: a constant shadows
+/// any binding of the name, a preference default stands in until the
+/// script assigns the name, and other names are looked up.
+enum class AutomaticVariable { None, Constant, PreferenceDefault };
+AutomaticVariable automatic_variable(std::string_view bare_lower);
+/// The value of an automatic variable (automatic_variable() != None).
+Value automatic_variable_value(std::string_view bare_lower);
+
+/// Command parameters that never consume a following argument.
+bool is_switch_parameter(const std::string& lower);
 
 /// The composite-format engine behind the `-f` operator ({0}, {1,8}, {0:X2}).
 std::string format_operator(const std::string& fmt, const std::vector<Value>& args);

@@ -96,6 +96,10 @@ class Budget {
   }
   [[nodiscard]] bool has_deadline() const { return has_deadline_; }
   [[nodiscard]] std::size_t bytes_charged() const { return bytes_; }
+  /// Whether charging `bytes` now would stay within the allocation budget.
+  [[nodiscard]] bool fits_bytes(std::size_t bytes) const {
+    return max_bytes_ == 0 || bytes_ + bytes <= max_bytes_;
+  }
   [[nodiscard]] const CancellationToken& cancel_token() const { return cancel_; }
 
  private:

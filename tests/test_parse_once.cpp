@@ -23,6 +23,7 @@
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
 #include "psinterp/interpreter.h"
+#include "recovery_options_frontend.h"
 
 namespace ideobf {
 namespace {
@@ -281,58 +282,7 @@ TEST(ParseOnce, PassMatchesTheReparseReference) {
 /// The PowerShell front-end with RecoveryOptions::reparse_rewritten set:
 /// every rewritten piece parses its text. The reference the engine's
 /// subtree path is checked against, layers and fixed-point passes included.
-class ReparseFrontend final : public LanguageFrontend {
- public:
-  static constexpr std::string_view kName = "powershell-reparse";
-
-  std::string_view name() const override { return kName; }
-  bool syntax_ok(std::string_view text,
-                 const FrontendPhaseContext& ctx) const override {
-    return ps_->syntax_ok(text, ctx);
-  }
-  std::string token_pass(std::string_view text, TokenPassStats& stats,
-                         TraceSink* trace) const override {
-    return ps_->token_pass(text, stats, trace);
-  }
-  std::string recovery_pass(std::string_view text,
-                            const FrontendPhaseContext& ctx,
-                            RecoveryStats& stats,
-                            TraceSink* trace) const override {
-    const Options& opts = *ctx.opts;
-    RecoveryOptions ro;
-    ro.max_steps_per_piece = opts.limits.max_steps_per_piece;
-    ro.max_piece_size = opts.limits.max_piece_size;
-    ro.extra_blocklist = opts.recovery.extra_blocklist;
-    ro.trace_functions = opts.recovery.trace_functions;
-    ro.memo = ctx.memo;
-    ro.budget = ctx.budget;
-    ro.fault = ctx.fault;
-    ro.reparse_rewritten = true;
-    const ps::ParsedScript parsed = ctx.parse_cache != nullptr
-                                        ? ctx.parse_cache->get(text).ast
-                                        : ps::try_parse(text);
-    if (parsed == nullptr) return std::string(text);
-    return ideobf::recovery_pass(text, parsed, ro, &stats, trace,
-                                 ctx.parse_cache);
-  }
-  std::string unwrap_layers(std::string_view text,
-                            const FrontendPhaseContext& ctx,
-                            MultilayerStats& stats, TraceSink* trace,
-                            const Recurse& recurse) const override {
-    return ps_->unwrap_layers(text, ctx, stats, trace, recurse);
-  }
-  std::string rename_pass(std::string_view text, RenameStats& stats,
-                          TraceSink* trace) const override {
-    return ps_->rename_pass(text, stats, trace);
-  }
-  std::string reformat_pass(std::string_view text) const override {
-    return ps_->reformat_pass(text);
-  }
-  double sniff(std::string_view) const override { return 0.0; }
-
- private:
-  std::shared_ptr<const LanguageFrontend> ps_ = make_ps_frontend();
-};
+constexpr std::string_view kReparseFrontend = "powershell-reparse";
 
 void expect_same_as_reference(const InvokeDeobfuscator& deobf,
                               const std::string& script,
@@ -340,7 +290,7 @@ void expect_same_as_reference(const InvokeDeobfuscator& deobf,
   DeobfuscationReport a, b;
   const std::string out = deobf.deobfuscate(script, a);
   const std::string ref = deobf.deobfuscate(
-      script, b, deobf.options().limits, ReparseFrontend::kName);
+      script, b, deobf.options().limits, kReparseFrontend);
   EXPECT_EQ(out, ref) << what;
   EXPECT_STREQ(to_string(a.failure), to_string(b.failure)) << what;
   EXPECT_EQ(a.failure_detail, b.failure_detail) << what;
@@ -352,10 +302,9 @@ void expect_same_as_reference(const InvokeDeobfuscator& deobf,
 }
 
 TEST(ParseOnce, EngineMatchesTheReparseReference) {
-  FrontendRegistry::instance().register_frontend(
-      std::string(ReparseFrontend::kName), [](const Options&) {
-        return std::make_shared<const ReparseFrontend>();
-      });
+  RecoveryOptionsFrontend::install(
+      std::string(kReparseFrontend),
+      [](RecoveryOptions& ro) { ro.reparse_rewritten = true; });
   for (const bool memo : {true, false}) {
     Options opts;
     opts.recovery.memo = memo;
