@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "core/blocklist.h"
@@ -291,7 +292,10 @@ class Reconstructor {
     scope_path_.push_back(0);
   }
 
-  std::string run(const Ast& root) { return reconstruct(root).text; }
+  std::string run(const Ast& root) {
+    const Rebuilt rebuilt = reconstruct(root);
+    return std::string(text_of(root, rebuilt));
+  }
 
  private:
   struct VarInfo {
@@ -302,9 +306,11 @@ class Reconstructor {
   /// A node's reconstructed text, and whether its own subtree can still
   /// stand for that text.
   struct Rebuilt {
+    /// The spliced text, set only when `rewritten`; an unchanged node's
+    /// text is its source slice (text_of).
     std::string text;
-    /// Some node in the extent was replaced, so `text` differs from the
-    /// node's source.
+    /// Some node in the extent was replaced, so the node's text differs
+    /// from its source.
     bool rewritten = false;
     /// Every outermost replaced node in the extent has its literal's value
     /// in overrides_, and none sits under a reads_source_text() node: then
@@ -312,6 +318,13 @@ class Reconstructor {
     /// with no parse.
     bool replayable = true;
   };
+
+  /// A rebuilt node's text: the spliced text when something in it was
+  /// replaced, its source slice otherwise.
+  std::string_view text_of(const Ast& node, const Rebuilt& rebuilt) const {
+    return rebuilt.rewritten ? std::string_view(rebuilt.text)
+                             : node.text_in(src_);
+  }
 
   std::string_view src_;
   const RecoveryOptions& options_;
@@ -331,6 +344,8 @@ class Reconstructor {
   std::unordered_set<std::size_t> replaced_ends_;
   std::map<std::string, VarInfo> table_;  ///< S_v and S_c of Algorithm 1
   std::vector<std::string> function_defs_;  ///< trace_functions extension
+  /// The lowercase names of function_defs_, which shadow item blocks.
+  std::vector<std::string> function_names_;
   std::vector<int> scope_path_;
   int scope_counter_ = 0;
   int conditional_depth_ = 0;
@@ -482,10 +497,10 @@ class Reconstructor {
   PieceRoot piece_root(const Rebuilt& piece, const Ast& node,
                        ps::ParsedScript& parsed) const {
     if (subtree_path(piece)) return {&node, src_, overrides_under(piece, node)};
-    parsed = cache_ != nullptr ? cache_->get(piece.text).ast
-                               : ps::try_parse(piece.text);
-    return {parsed != nullptr ? single_statement(*parsed) : nullptr,
-            piece.text, nullptr};
+    const std::string_view text = text_of(node, piece);
+    parsed = cache_ != nullptr ? cache_->get(text).ast : ps::try_parse(text);
+    return {parsed != nullptr ? single_statement(*parsed) : nullptr, text,
+            nullptr};
   }
 
   /// Splices the reconstructed children into the node's original text.
@@ -496,7 +511,7 @@ class Reconstructor {
     for (const auto& [child, kid] : kids) {
       if (child->start() < pos) continue;  // defensive: skip overlaps
       out += src_.substr(pos, child->start() - pos);
-      out += kid.text;
+      out += text_of(*child, kid);
       pos = child->end();
     }
     out += src_.substr(pos, node.end() - pos);
@@ -611,10 +626,9 @@ class Reconstructor {
   /// Whether evaluating `node` can run a `-match` (which assigns
   /// `$matches`), not counting bound nodes, which are not evaluated.
   bool writes_matches(const Ast& node) const {
-    if (node.kind() == NodeKind::BinaryExpression) {
-      const std::string& op =
-          static_cast<const ps::BinaryExpressionAst&>(node).op;
-      if (op == "-match" || op == "-imatch" || op == "-cmatch") return true;
+    if (node.kind() == NodeKind::BinaryExpression &&
+        static_cast<const ps::BinaryExpressionAst&>(node).id == ps::Op::Match) {
+      return true;
     }
     for (const Ast* child : node.children()) {
       if (overrides_.count(child) == 0 && writes_matches(*child)) return true;
@@ -643,9 +657,11 @@ class Reconstructor {
     if (scoped) scope_path_.push_back(++scope_counter_);
     if (conditional) ++conditional_depth_;
 
+    const ps::ChildList children = node.children();
     std::vector<std::pair<const Ast*, Rebuilt>> kids;
+    kids.reserve(children.size());
     Rebuilt self;
-    for (const Ast* child : node.children()) {
+    for (const Ast* child : children) {
       Rebuilt kid = reconstruct(*child);
       if (kid.rewritten) {
         self.rewritten = true;
@@ -660,7 +676,7 @@ class Reconstructor {
     if (self.rewritten && reads_source_text(node.kind())) {
       self.replayable = false;
     }
-    self.text = splice(node, kids);
+    if (self.rewritten) self.text = splice(node, kids);
     self = recover(node, std::move(self));
 
     const Ast* parent = node.parent();
@@ -682,7 +698,9 @@ class Reconstructor {
             static_cast<const ps::AssignmentStatementAst&>(node), std::move(self));
       case NodeKind::FunctionDefinition:
         if (options_.trace_functions && conditional_depth_ == 0) {
-          function_defs_.push_back(self.text);
+          function_defs_.emplace_back(text_of(node, self));
+          function_names_.push_back(ps::to_lower(
+              static_cast<const ps::FunctionDefinitionAst&>(node).name));
         }
         return self;
       case NodeKind::ExpandableStringExpression:
@@ -697,7 +715,7 @@ class Reconstructor {
   }
 
   Rebuilt handle_variable(const ps::VariableExpressionAst& var, Rebuilt self) {
-    const std::string& text = self.text;
+    const std::string_view text = text_of(var, self);
     const std::string bare = var.bare_name();
     const std::string scope = var.scope_qualifier();
 
@@ -724,7 +742,7 @@ class Reconstructor {
       }
       if (parent->kind() == NodeKind::UnaryExpression) {
         const auto& un = static_cast<const ps::UnaryExpressionAst&>(*parent);
-        if (un.op.rfind("++", 0) == 0 || un.op.rfind("--", 0) == 0) {
+        if (ps::is_increment(un.id)) {
           table_.erase(bare);
           return self;
         }
@@ -740,7 +758,7 @@ class Reconstructor {
           stats_.variables_substituted++;
           if (trace_ != nullptr) {
             trace_->emit({TraceEvent::Kind::VariableSubstituted, var.start(),
-                          text, literal, trace_->pass()});
+                          std::string(text), literal, trace_->pass()});
           }
           return replaced(var, std::move(literal));
         }
@@ -788,7 +806,7 @@ class Reconstructor {
         stats_.variables_substituted++;
         if (trace_ != nullptr) {
           trace_->emit({TraceEvent::Kind::VariableSubstituted, var.start(),
-                        text, literal, trace_->pass()});
+                        std::string(text), literal, trace_->pass()});
         }
         return replaced(var, std::move(literal));
       }
@@ -813,7 +831,7 @@ class Reconstructor {
         interp->evaluate(st, src_, overrides_under(self, st));
       } else {
         stats_.pieces_reparsed++;
-        interp->evaluate_script(self.text);
+        interp->evaluate_script(text_of(st, self));
       }
       if (auto value = interp->get_variable(bare)) {
         table_[bare] = VarInfo{*value, scope_path_};
@@ -856,7 +874,7 @@ class Reconstructor {
   /// "" when the piece stays as-is (failed execution, no literal form, or
   /// no progress).
   std::string execute_piece(const Rebuilt& piece, const Ast& node) {
-    const std::string& text = piece.text;
+    const std::string_view text = text_of(node, piece);
     telemetry::PhaseSpan piece_span(telemetry::Phase::PieceExecution,
                                     ps::to_string(node.kind()));
     if (telemetry::enabled()) piece_kind_counter(node.kind()).add();
@@ -867,7 +885,8 @@ class Reconstructor {
     ps::ParsedScript parsed;  // pins a parse-path piece's parse
     const PieceRoot root = piece_root(piece, node, parsed);
     const bool pure =
-        root.node != nullptr && is_pure_piece(*root.node, root.overrides);
+        root.node != nullptr &&
+        is_pure_piece(*root.node, root.overrides, function_names_);
     std::size_t ctx = 0;
     if (options_.memo != nullptr) {
       if (options_.fault != nullptr) {
@@ -965,7 +984,7 @@ class Reconstructor {
   /// kind without being evaluated; it passes one budget checkpoint, as
   /// the walk's first step would.
   ps::FailureKind tree_walk(const PieceRoot& root, bool subtree,
-                            const std::string& text, Value& result) {
+                            std::string_view text, Value& result) {
     std::unique_ptr<ps::Interpreter> interp;
     std::optional<ps::FailureKind> refused;
     try {
@@ -996,7 +1015,7 @@ class Reconstructor {
   }
 
   Value walk(ps::Interpreter& interp, const PieceRoot& root, bool subtree,
-             const std::string& text) {
+             std::string_view text) {
     return subtree ? interp.evaluate(*root.node, root.source, root.overrides)
                    : interp.evaluate_script(text);
   }
@@ -1004,7 +1023,7 @@ class Reconstructor {
   /// RecoveryOptions::verify_refusals: walks a refused piece anyway and
   /// raises std::logic_error unless it fails with the refusal's kind.
   void verify_refusal(ps::Interpreter& interp, const PieceRoot& root,
-                      bool subtree, const std::string& text,
+                      bool subtree, std::string_view text,
                       ps::FailureKind refused) {
     ps::FailureKind walked = ps::FailureKind::None;
     try {
@@ -1017,7 +1036,8 @@ class Reconstructor {
       walked = classify(e).first;
     }
     if (walked != refused) {
-      throw std::logic_error("refusal mismatch on `" + text + "`: refused " +
+      throw std::logic_error("refusal mismatch on `" + std::string(text) +
+                             "`: refused " +
                              ps::to_string(refused) + ", the walk gave " +
                              ps::to_string(walked));
     }
@@ -1028,8 +1048,9 @@ class Reconstructor {
     if (literal.empty()) return piece;
     stats_.pieces_recovered++;
     if (trace_ != nullptr) {
-      trace_->emit({TraceEvent::Kind::PieceRecovered, 0, std::move(piece.text),
-                    literal, trace_->pass()});
+      trace_->emit({TraceEvent::Kind::PieceRecovered, 0,
+                    std::string(text_of(node, piece)), literal,
+                    trace_->pass()});
     }
     return replaced(node, std::move(literal));
   }
@@ -1040,14 +1061,15 @@ class Reconstructor {
   /// extends recovery to interpolation sites inside blocklisted pipelines.
   Rebuilt handle_expandable(Rebuilt self, const Ast& node) {
     if (conditional_depth_ > 0) return self;
-    if (self.text.find('$') == std::string::npos) return self;
+    if (text_of(node, self).find('$') == std::string::npos) return self;
     std::string literal = execute_piece(self, node);
     return apply_recovered(node, std::move(self), std::move(literal));
   }
 
   Rebuilt try_recover(Rebuilt self, const Ast& node) {
-    if (self.text.size() > options_.max_piece_size) return self;
-    if (is_trivial_literal(self.text)) return self;
+    const std::string_view text = text_of(node, self);
+    if (text.size() > options_.max_piece_size) return self;
+    if (is_trivial_literal(text)) return self;
     std::string literal = execute_piece(self, node);
     return apply_recovered(node, std::move(self), std::move(literal));
   }
@@ -1064,101 +1086,166 @@ bool is_constant_variable(const ps::VariableExpressionAst& var) {
          bare == "home" || bare == "pwd";
 }
 
-/// Unary operators that only transform their operand's value (`++`/`--`
-/// mutate a variable instead).
-bool is_value_unary_op(const std::string& op) {
-  return op == "-" || op == "+" || op == "!" || op == "-not" ||
-         op == "-bnot" || op == "-join" || op == "-split" || op == ",";
+/// The pipeline item `$_`.
+bool is_item_variable(const ps::VariableExpressionAst& var) {
+  return var.scope_qualifier().empty() && var.bare_name() == "_";
 }
 
-/// A pipeline of exactly one expression element (no commands).
-bool is_pure_lone_pipeline(const ps::PipelineAst& pipe,
-                           const ps::NodeOverrides* overrides) {
-  if (pipe.elements.size() != 1) return false;
-  const Ast& el = *pipe.elements[0];
-  return el.kind() == NodeKind::CommandExpression &&
-         is_pure_piece(
-             *static_cast<const ps::CommandExpressionAst&>(el).expression,
-             overrides);
-}
+/// is_pure_piece()'s walk. Inside an item block `$_` is the current
+/// pipeline item, which the block's command binds before each run, so it
+/// reads as a constant there and nowhere else.
+class PurityCheck {
+ public:
+  PurityCheck(const ps::NodeOverrides* overrides,
+              std::span<const std::string> traced_functions)
+      : overrides_(overrides), traced_functions_(traced_functions) {}
 
-/// The body of a paren/sub/array expression: one lone-expression pipeline.
-bool is_pure_lone_statement(const Ast& stmt,
-                            const ps::NodeOverrides* overrides) {
-  if (overrides != nullptr && overrides->count(&stmt) != 0) return true;
-  return stmt.kind() == NodeKind::Pipeline &&
-         is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(stmt),
-                               overrides);
-}
+  bool pure(const Ast& node) const {
+    // A replaced node stands for its literal: a constant.
+    if (bound(node)) return true;
+    switch (node.kind()) {
+      case NodeKind::ConstantExpression:
+      case NodeKind::StringConstantExpression:
+      case NodeKind::TypeExpression:
+        return true;
+      case NodeKind::ExpandableStringExpression:
+        // A `$` may read a variable or run a `$(...)` subexpression.
+        return static_cast<const ps::ExpandableStringExpressionAst&>(node)
+                   .raw.find('$') == std::string::npos;
+      case NodeKind::VariableExpression: {
+        const auto& var = static_cast<const ps::VariableExpressionAst&>(node);
+        return is_constant_variable(var) ||
+               (in_item_block_ && is_item_variable(var));
+      }
+      case NodeKind::BinaryExpression: {
+        const auto& bin = static_cast<const ps::BinaryExpressionAst&>(node);
+        return pure(*bin.left) && pure(*bin.right);
+      }
+      case NodeKind::UnaryExpression: {
+        // `++`/`--` assign their operand; every other unary operator only
+        // transforms its value.
+        const auto& un = static_cast<const ps::UnaryExpressionAst&>(node);
+        return !ps::is_increment(un.id) && pure(*un.child);
+      }
+      case NodeKind::ConvertExpression:
+        return pure(*static_cast<const ps::ConvertExpressionAst&>(node).child);
+      case NodeKind::IndexExpression: {
+        const auto& idx = static_cast<const ps::IndexExpressionAst&>(node);
+        return pure(*idx.target) && pure(*idx.index);
+      }
+      case NodeKind::ArrayLiteral:
+        for (const auto& el :
+             static_cast<const ps::ArrayLiteralAst&>(node).elements) {
+          if (!pure(*el)) return false;
+        }
+        return true;
+      case NodeKind::ParenExpression:
+        return statement(
+            *static_cast<const ps::ParenExpressionAst&>(node).pipeline);
+      case NodeKind::SubExpression:
+        return statements(
+            static_cast<const ps::SubExpressionAst&>(node).statements);
+      case NodeKind::ArrayExpression:
+        return statements(
+            static_cast<const ps::ArrayExpressionAst&>(node).statements);
+      case NodeKind::Pipeline:
+        return pipeline(static_cast<const ps::PipelineAst&>(node));
+      default:
+        // Other commands (where the blocklist applies), member access,
+        // invocation, hashtables, script blocks, assignments.
+        return false;
+    }
+  }
 
-bool is_pure_statements(const std::vector<ps::AstPtr>& statements,
-                        const ps::NodeOverrides* overrides) {
-  return statements.empty() ||
-         (statements.size() == 1 &&
-          is_pure_lone_statement(*statements[0], overrides));
-}
+ private:
+  const ps::NodeOverrides* overrides_;
+  std::span<const std::string> traced_functions_;
+  bool in_item_block_ = false;
+
+  bool bound(const Ast& node) const {
+    return overrides_ != nullptr && overrides_->count(&node) != 0;
+  }
+
+  /// A pure first expression, then any number of item blocks.
+  bool pipeline(const ps::PipelineAst& pipe) const {
+    if (pipe.elements.empty()) return false;
+    const Ast& first = *pipe.elements.front();
+    if (first.kind() != NodeKind::CommandExpression ||
+        !pure(*static_cast<const ps::CommandExpressionAst&>(first).expression)) {
+      return false;
+    }
+    for (std::size_t i = 1; i < pipe.elements.size(); ++i) {
+      if (!item_block(*pipe.elements[i])) return false;
+    }
+    return true;
+  }
+
+  /// The body of a paren/sub/array expression or an item block.
+  bool statement(const Ast& stmt) const {
+    return bound(stmt) ||
+           (stmt.kind() == NodeKind::Pipeline &&
+            pipeline(static_cast<const ps::PipelineAst&>(stmt)));
+  }
+
+  bool statements(const std::vector<ps::AstPtr>& stmts) const {
+    return stmts.empty() || (stmts.size() == 1 && statement(*stmts[0]));
+  }
+
+  /// `ForEach-Object { … }` or `Where-Object { … }`, under any spelling
+  /// that resolves to them and that no traced function shadows, with one
+  /// script-block argument and nothing else: no parameters (`-Begin`,
+  /// `-End`), no param block, one implicit block of one pure statement.
+  bool item_block(const Ast& el) const {
+    if (el.kind() != NodeKind::Command) return false;
+    const auto& cmd = static_cast<const ps::CommandAst&>(el);
+    if (cmd.invocation != ps::CommandAst::Invocation::None ||
+        cmd.elements.size() != 2 ||
+        cmd.elements[0]->kind() != NodeKind::StringConstantExpression ||
+        cmd.elements[1]->kind() != NodeKind::ScriptBlockExpression) {
+      return false;
+    }
+    if (!item_command(
+            static_cast<const ps::StringConstantExpressionAst&>(*cmd.elements[0])
+                .value)) {
+      return false;
+    }
+    const auto& sb = static_cast<const ps::ScriptBlockAst&>(
+        *static_cast<const ps::ScriptBlockExpressionAst&>(*cmd.elements[1])
+             .script_block);
+    if (sb.param_block != nullptr || sb.named_blocks.size() != 1) return false;
+    const ps::NamedBlockAst& body = *sb.named_blocks.front();
+    if (body.name != ps::NamedBlockAst::BlockName::Unnamed ||
+        body.statements.size() != 1) {
+      return false;
+    }
+    PurityCheck inner = *this;
+    inner.in_item_block_ = true;
+    return inner.statement(*body.statements.front());
+  }
+
+  /// Whether a command name dispatches to the built-in ForEach-Object or
+  /// Where-Object: standard aliases resolved as the interpreter resolves
+  /// them, and no traced function definition under either name.
+  bool item_command(std::string_view name) const {
+    const std::string spelled = ps::to_lower(name);
+    const std::optional<std::string> alias =
+        ps::AliasTable::standard().resolve(spelled);
+    const std::string resolved = alias ? ps::to_lower(*alias) : spelled;
+    if (resolved != "foreach-object" && resolved != "where-object") {
+      return false;
+    }
+    for (const std::string& fn : traced_functions_) {
+      if (fn == resolved || fn == spelled) return false;
+    }
+    return true;
+  }
+};
 
 }  // namespace
 
-bool is_pure_piece(const Ast& node, const ps::NodeOverrides* overrides) {
-  // A replaced node stands for its literal: a constant.
-  if (overrides != nullptr && overrides->count(&node) != 0) return true;
-  switch (node.kind()) {
-    case NodeKind::ConstantExpression:
-    case NodeKind::StringConstantExpression:
-    case NodeKind::TypeExpression:
-      return true;
-    case NodeKind::ExpandableStringExpression:
-      // A `$` may read a variable or run a `$(...)` subexpression.
-      return static_cast<const ps::ExpandableStringExpressionAst&>(node)
-                 .raw.find('$') == std::string::npos;
-    case NodeKind::VariableExpression:
-      return is_constant_variable(
-          static_cast<const ps::VariableExpressionAst&>(node));
-    case NodeKind::BinaryExpression: {
-      const auto& bin = static_cast<const ps::BinaryExpressionAst&>(node);
-      return is_pure_piece(*bin.left, overrides) &&
-             is_pure_piece(*bin.right, overrides);
-    }
-    case NodeKind::UnaryExpression: {
-      const auto& un = static_cast<const ps::UnaryExpressionAst&>(node);
-      return is_value_unary_op(un.op) && is_pure_piece(*un.child, overrides);
-    }
-    case NodeKind::ConvertExpression:
-      return is_pure_piece(
-          *static_cast<const ps::ConvertExpressionAst&>(node).child,
-          overrides);
-    case NodeKind::IndexExpression: {
-      const auto& idx = static_cast<const ps::IndexExpressionAst&>(node);
-      return is_pure_piece(*idx.target, overrides) &&
-             is_pure_piece(*idx.index, overrides);
-    }
-    case NodeKind::ArrayLiteral:
-      for (const auto& el :
-           static_cast<const ps::ArrayLiteralAst&>(node).elements) {
-        if (!is_pure_piece(*el, overrides)) return false;
-      }
-      return true;
-    case NodeKind::ParenExpression:
-      return is_pure_lone_statement(
-          *static_cast<const ps::ParenExpressionAst&>(node).pipeline,
-          overrides);
-    case NodeKind::SubExpression:
-      return is_pure_statements(
-          static_cast<const ps::SubExpressionAst&>(node).statements,
-          overrides);
-    case NodeKind::ArrayExpression:
-      return is_pure_statements(
-          static_cast<const ps::ArrayExpressionAst&>(node).statements,
-          overrides);
-    case NodeKind::Pipeline:
-      return is_pure_lone_pipeline(static_cast<const ps::PipelineAst&>(node),
-                                   overrides);
-    default:
-      // Commands (where the blocklist applies), member access, invocation,
-      // hashtables, script blocks, assignments.
-      return false;
-  }
+bool is_pure_piece(const Ast& node, const ps::NodeOverrides* overrides,
+                   std::span<const std::string> traced_functions) {
+  return PurityCheck(overrides, traced_functions).pure(node);
 }
 
 std::string recovery_pass(std::string_view script,

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -119,12 +120,21 @@ struct RecoveryOptions {
 /// expandable strings, the constant automatic variables ($true, $false,
 /// $null, $pshome, $psscriptroot, $shellid, $home, $pwd), binary operators,
 /// the value unary operators (`-` `+` `!` `-not` `-bnot` `-join` `-split`
-/// `,`), casts, indexing, array literals, and paren/sub/array expressions
-/// or pipelines holding one lone expression. Commands (where the blocklist
+/// `,`), casts, indexing, array literals, paren/sub/array expressions
+/// holding one pure statement, and pipelines: a pure first expression
+/// followed by any number of *item blocks*. An item block is
+/// `ForEach-Object`/`%`/`foreach` or `Where-Object`/`?`/`where` with one
+/// script-block argument and nothing else (no `-Begin`/`-End`, no param
+/// block) whose body is one pure statement in which `$_` counts as a
+/// constant; `$_` is impure anywhere else. A command name in
+/// `traced_functions` (lowercase names of the function definitions the
+/// pass has loaded into its interpreters) is not an item block, since the
+/// function would run instead. Other commands (where the blocklist
 /// applies), member access, assignments, `++`/`--`, hashtables, script
 /// blocks, and every other variable read are impure.
-[[nodiscard]] bool is_pure_piece(const ps::Ast& root,
-                                 const ps::NodeOverrides* overrides = nullptr);
+[[nodiscard]] bool is_pure_piece(
+    const ps::Ast& root, const ps::NodeOverrides* overrides = nullptr,
+    std::span<const std::string> traced_functions = {});
 
 /// Runs one recovery pass. Returns the input unchanged when it does not
 /// parse (the caller's per-step syntax check handles rollback).

@@ -12,6 +12,7 @@
 /// Every node records its exact source extent [start, end) so the
 /// deobfuscator can replace obfuscated pieces strictly in place.
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,6 +20,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "pslang/alias_table.h"
+#include "pslang/operators.h"
 #include "pslang/token.h"
 #include "psvalue/arena.h"
 #include "psvalue/value.h"
@@ -75,6 +78,34 @@ class Ast;
 /// carried alongside the root (see ParsedScript below).
 using AstPtr = ArenaPtr<Ast>;
 
+/// A node's direct children, in source order: the first four inline, the
+/// rest on the heap, so walking a tree allocates only at nodes with many
+/// children.
+class ChildList {
+ public:
+  void push_back(const Ast* node) {
+    if (size_ < kInline) {
+      inline_[size_++] = node;
+      return;
+    }
+    if (size_ == kInline) heap_.assign(inline_.begin(), inline_.end());
+    heap_.push_back(node);
+    ++size_;
+  }
+  [[nodiscard]] const Ast* const* begin() const {
+    return size_ <= kInline ? inline_.data() : heap_.data();
+  }
+  [[nodiscard]] const Ast* const* end() const { return begin() + size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+ private:
+  static constexpr std::size_t kInline = 4;
+  std::array<const Ast*, kInline> inline_{};
+  std::vector<const Ast*> heap_;
+  std::size_t size_ = 0;
+};
+
 /// Base class of all AST nodes.
 class Ast {
  public:
@@ -103,8 +134,8 @@ class Ast {
   }
 
   /// Direct children in source order (non-owning).
-  [[nodiscard]] std::vector<const Ast*> children() const {
-    std::vector<const Ast*> out;
+  [[nodiscard]] ChildList children() const {
+    ChildList out;
     collect_children(out);
     return out;
   }
@@ -115,8 +146,8 @@ class Ast {
   void post_order(const std::function<void(const Ast&)>& fn) const;
 
  protected:
-  virtual void collect_children(std::vector<const Ast*>& out) const = 0;
-  static void add(std::vector<const Ast*>& out, const Ast* node) {
+  virtual void collect_children(ChildList& out) const = 0;
+  static void add(ChildList& out, const Ast* node) {
     if (node != nullptr) out.push_back(node);
   }
 
@@ -139,7 +170,7 @@ class ParameterAst final : public Ast {
   AstPtr default_value;  ///< may be null
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, default_value.get());
   }
 };
@@ -152,7 +183,7 @@ class ParamBlockAst final : public Ast {
   std::vector<ArenaPtr<ParameterAst>> parameters;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& p : parameters) add(out, p.get());
   }
 };
@@ -171,7 +202,7 @@ class NamedBlockAst final : public Ast {
   std::vector<AstPtr> statements;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& st : statements) add(out, st.get());
   }
 };
@@ -187,7 +218,7 @@ class ScriptBlockAst final : public Ast {
   std::vector<ArenaPtr<NamedBlockAst>> named_blocks;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, param_block.get());
     for (const auto& b : named_blocks) add(out, b.get());
   }
@@ -201,7 +232,7 @@ class StatementBlockAst final : public Ast {
   std::vector<AstPtr> statements;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& st : statements) add(out, st.get());
   }
 };
@@ -218,7 +249,7 @@ class PipelineAst final : public Ast {
   std::vector<AstPtr> elements;  ///< CommandAst or CommandExpressionAst
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& el : elements) add(out, el.get());
   }
 };
@@ -238,7 +269,7 @@ class CommandAst final : public Ast {
   [[nodiscard]] std::string constant_name() const;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& el : elements) add(out, el.get());
   }
 };
@@ -251,7 +282,7 @@ class CommandExpressionAst final : public Ast {
   AstPtr expression;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, expression.get());
   }
 };
@@ -266,7 +297,7 @@ class CommandParameterAst final : public Ast {
   AstPtr argument;   ///< only for `-Name:value` forms; may be null
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, argument.get());
   }
 };
@@ -274,15 +305,16 @@ class CommandParameterAst final : public Ast {
 class AssignmentStatementAst final : public Ast {
  public:
   AssignmentStatementAst(std::size_t s, std::size_t e, AstPtr lhs,
-                         std::string_view op, AstPtr rhs)
+                         const OperatorInfo& op, AstPtr rhs)
       : Ast(NodeKind::AssignmentStatement, s, e), left(std::move(lhs)),
-        op(op), right(std::move(rhs)) {}
+        op(op.spelling), id(op.op), right(std::move(rhs)) {}
   AstPtr left;     ///< VariableExpression / IndexExpression / MemberExpression
-  std::string op;  ///< "=", "+=", ...
+  std::string_view op;  ///< "=", "+=", ... (the operator table's spelling)
+  Op id;           ///< None for `=`, else the binary operator (`+=`: Add)
   AstPtr right;    ///< statement (usually a PipelineAst)
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, left.get());
     add(out, right.get());
   }
@@ -302,7 +334,7 @@ class IfStatementAst final : public Ast {
   AstPtr else_body;  ///< may be null
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& c : clauses) {
       add(out, c.condition.get());
       add(out, c.body.get());
@@ -320,7 +352,7 @@ class WhileStatementAst final : public Ast {
   AstPtr body;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, condition.get());
     add(out, body.get());
   }
@@ -337,7 +369,7 @@ class DoWhileStatementAst final : public Ast {
   bool is_until;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, body.get());
     add(out, condition.get());
   }
@@ -356,7 +388,7 @@ class ForStatementAst final : public Ast {
   AstPtr body;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, initializer.get());
     add(out, condition.get());
     add(out, iterator.get());
@@ -375,7 +407,7 @@ class ForEachStatementAst final : public Ast {
   AstPtr body;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, variable.get());
     add(out, enumerable.get());
     add(out, body.get());
@@ -396,7 +428,7 @@ class SwitchStatementAst final : public Ast {
   std::vector<Clause> clauses;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, condition.get());
     for (const auto& c : clauses) {
       add(out, c.pattern.get());
@@ -419,7 +451,7 @@ class FunctionDefinitionAst final : public Ast {
   bool is_filter;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& p : parameters) add(out, p.get());
     add(out, body.get());
   }
@@ -437,7 +469,7 @@ class TryStatementAst final : public Ast {
   AstPtr finally_body;               ///< may be null
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, body.get());
     for (const auto& c : catch_bodies) add(out, c.get());
     add(out, finally_body.get());
@@ -452,7 +484,7 @@ class FlowStatementAst final : public Ast {
   AstPtr operand;  ///< may be null
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, operand.get());
   }
 };
@@ -462,15 +494,19 @@ class FlowStatementAst final : public Ast {
 class BinaryExpressionAst final : public Ast {
  public:
   BinaryExpressionAst(std::size_t s, std::size_t e, AstPtr lhs,
-                      std::string_view op, AstPtr rhs)
+                      const OperatorInfo& op, AstPtr rhs)
       : Ast(NodeKind::BinaryExpression, s, e), left(std::move(lhs)),
-        op(op), right(std::move(rhs)) {}
+        op(op.spelling), id(op.op), case_sensitive(op.case_sensitive),
+        right(std::move(rhs)) {}
   AstPtr left;
-  std::string op;  ///< canonical lowercase: "+", "-f", "-join", "-bxor", ...
+  /// Canonical lowercase spelling: "+", "-f", "-join", "-bxor", "-ceq", ...
+  std::string_view op;
+  Op id;
+  bool case_sensitive;  ///< a `-c…` variant
   AstPtr right;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, left.get());
     add(out, right.get());
   }
@@ -478,15 +514,17 @@ class BinaryExpressionAst final : public Ast {
 
 class UnaryExpressionAst final : public Ast {
  public:
-  UnaryExpressionAst(std::size_t s, std::size_t e, std::string_view op,
+  UnaryExpressionAst(std::size_t s, std::size_t e, const OperatorInfo& op,
                      AstPtr child)
-      : Ast(NodeKind::UnaryExpression, s, e), op(op),
+      : Ast(NodeKind::UnaryExpression, s, e), op(op.spelling), id(op.op),
         child(std::move(child)) {}
-  std::string op;  ///< "-", "!", "-not", "-join", "-split", "-bnot", ","
+  /// "-", "!", "-not", "-join", "-split", "-bnot", ",", "++", "++_post", ...
+  std::string_view op;
+  Op id;
   AstPtr child;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, child.get());
   }
 };
@@ -497,12 +535,13 @@ class ConvertExpressionAst final : public Ast {
   ConvertExpressionAst(std::size_t s, std::size_t e,
                        std::string_view type_name, AstPtr child)
       : Ast(NodeKind::ConvertExpression, s, e), type_name(type_name),
-        child(std::move(child)) {}
+        type_key(normalize_type_name(type_name)), child(std::move(child)) {}
   std::string type_name;  ///< inner text of the brackets, whitespace-stripped
+  std::string type_key;   ///< type_name normalized once (normalize_type_name)
   AstPtr child;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, child.get());
   }
 };
@@ -515,7 +554,7 @@ class TypeExpressionAst final : public Ast {
   std::string type_name;
 
  protected:
-  void collect_children(std::vector<const Ast*>&) const override {}
+  void collect_children(ChildList&) const override {}
 };
 
 class ConstantExpressionAst final : public Ast {
@@ -525,7 +564,7 @@ class ConstantExpressionAst final : public Ast {
   Value value;
 
  protected:
-  void collect_children(std::vector<const Ast*>&) const override {}
+  void collect_children(ChildList&) const override {}
 };
 
 class StringConstantExpressionAst final : public Ast {
@@ -538,7 +577,7 @@ class StringConstantExpressionAst final : public Ast {
   QuoteKind quote;
 
  protected:
-  void collect_children(std::vector<const Ast*>&) const override {}
+  void collect_children(ChildList&) const override {}
 };
 
 /// Double-quoted string containing `$` interpolation; `raw` is the inner
@@ -554,7 +593,7 @@ class ExpandableStringExpressionAst final : public Ast {
   QuoteKind quote;
 
  protected:
-  void collect_children(std::vector<const Ast*>&) const override {}
+  void collect_children(ChildList&) const override {}
 };
 
 class VariableExpressionAst final : public Ast {
@@ -569,7 +608,7 @@ class VariableExpressionAst final : public Ast {
   [[nodiscard]] std::string scope_qualifier() const;
 
  protected:
-  void collect_children(std::vector<const Ast*>&) const override {}
+  void collect_children(ChildList&) const override {}
 };
 
 class MemberExpressionAst : public Ast {
@@ -590,7 +629,7 @@ class MemberExpressionAst : public Ast {
   [[nodiscard]] std::string constant_member() const;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, target.get());
     add(out, member.get());
   }
@@ -608,7 +647,7 @@ class InvokeMemberExpressionAst final : public MemberExpressionAst {
   std::vector<AstPtr> arguments;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, target.get());
     add(out, member.get());
     for (const auto& a : arguments) add(out, a.get());
@@ -624,7 +663,7 @@ class IndexExpressionAst final : public Ast {
   AstPtr index;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, target.get());
     add(out, index.get());
   }
@@ -638,7 +677,7 @@ class ArrayLiteralAst final : public Ast {
   std::vector<AstPtr> elements;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& el : elements) add(out, el.get());
   }
 };
@@ -651,7 +690,7 @@ class ArrayExpressionAst final : public Ast {
   std::vector<AstPtr> statements;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& st : statements) add(out, st.get());
   }
 };
@@ -667,7 +706,7 @@ class HashtableExpressionAst final : public Ast {
   std::vector<Entry> entries;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& en : entries) {
       add(out, en.key.get());
       add(out, en.value.get());
@@ -683,7 +722,7 @@ class ParenExpressionAst final : public Ast {
   AstPtr pipeline;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, pipeline.get());
   }
 };
@@ -696,7 +735,7 @@ class SubExpressionAst final : public Ast {
   std::vector<AstPtr> statements;
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     for (const auto& st : statements) add(out, st.get());
   }
 };
@@ -712,7 +751,7 @@ class ScriptBlockExpressionAst final : public Ast {
   std::string body_text;  ///< inner text without the braces
 
  protected:
-  void collect_children(std::vector<const Ast*>& out) const override {
+  void collect_children(ChildList& out) const override {
     add(out, script_block.get());
   }
 };

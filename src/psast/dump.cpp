@@ -45,9 +45,9 @@ std::string payload_of(const Ast& node, const DumpOptions& opts) {
     case NodeKind::VariableExpression:
       return "$" + static_cast<const VariableExpressionAst&>(node).name;
     case NodeKind::BinaryExpression:
-      return static_cast<const BinaryExpressionAst&>(node).op;
+      return std::string(static_cast<const BinaryExpressionAst&>(node).op);
     case NodeKind::UnaryExpression:
-      return static_cast<const UnaryExpressionAst&>(node).op;
+      return std::string(static_cast<const UnaryExpressionAst&>(node).op);
     case NodeKind::ConvertExpression:
       return "[" + static_cast<const ConvertExpressionAst&>(node).type_name + "]";
     case NodeKind::TypeExpression:
@@ -62,7 +62,7 @@ std::string payload_of(const Ast& node, const DumpOptions& opts) {
     case NodeKind::FunctionDefinition:
       return static_cast<const FunctionDefinitionAst&>(node).name;
     case NodeKind::AssignmentStatement:
-      return static_cast<const AssignmentStatementAst&>(node).op;
+      return std::string(static_cast<const AssignmentStatementAst&>(node).op);
     case NodeKind::MemberExpression:
     case NodeKind::InvokeMemberExpression: {
       const auto& mem = static_cast<const MemberExpressionAst&>(node);

@@ -1,11 +1,11 @@
 #include "psast/parser.h"
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 
 #include "pslang/alias_table.h"
 #include "pslang/lexer.h"
+#include "pslang/operators.h"
 #include "telemetry/telemetry.h"
 
 namespace ps {
@@ -74,36 +74,6 @@ AstPtr make_command_word(Arena& arena, const Token& w) {
                                                  QuoteKind::None);
 }
 
-bool is_assignment_op(const Token& t) {
-  if (t.type != TokenType::Operator) return false;
-  return t.content == "=" || t.content == "+=" || t.content == "-=" ||
-         t.content == "*=" || t.content == "/=" || t.content == "%=";
-}
-
-constexpr std::array<std::string_view, 3> kLogicalOps = {"-and", "-or", "-xor"};
-constexpr std::array<std::string_view, 5> kBitwiseOps = {"-band", "-bor", "-bxor",
-                                                         "-shl", "-shr"};
-constexpr std::array<std::string_view, 35> kComparisonOps = {
-    "-eq",    "-ne",       "-gt",          "-lt",      "-ge",      "-le",
-    "-ceq",   "-cne",      "-ieq",         "-ine",     "-like",    "-notlike",
-    "-clike", "-ilike",    "-match",       "-notmatch", "-cmatch", "-imatch",
-    "-contains", "-notcontains", "-in",    "-notin",   "-replace", "-creplace",
-    "-ireplace", "-split", "-csplit",      "-isplit",  "-join",    "-cjoin",
-    "-ijoin", "-is",       "-isnot",       "-as",      "-ne"};
-constexpr std::array<std::string_view, 2> kAdditiveOps = {"+", "-"};
-constexpr std::array<std::string_view, 3> kMultiplicativeOps = {"*", "/", "%"};
-constexpr std::array<std::string_view, 8> kUnaryOps = {
-    "-", "+", "!", "-not", "-join", "-split", "-bnot", ","};
-
-template <std::size_t N>
-bool token_in(const Token& t, const std::array<std::string_view, N>& ops) {
-  if (t.type != TokenType::Operator) return false;
-  for (auto op : ops) {
-    if (iequals(t.content, op)) return true;
-  }
-  return false;
-}
-
 class Parser {
  public:
   Parser(TokenStream tokens, std::size_t source_size, Arena& arena)
@@ -112,11 +82,14 @@ class Parser {
     // Tokens are cheap views; filtering copies them but shares the pinned
     // buffers through stream_, which must outlive toks_.
     toks_.reserve(stream_.size());
+    ops_.reserve(stream_.size());
     for (const auto& t : stream_) {
       if (t.type == TokenType::Comment || t.type == TokenType::LineContinuation) {
         continue;
       }
       toks_.push_back(t);
+      ops_.push_back(t.type == TokenType::Operator ? find_operator(t.content)
+                                                   : nullptr);
     }
   }
 
@@ -138,6 +111,8 @@ class Parser {
 
   TokenStream stream_;
   std::vector<Token> toks_;
+  /// The operator-table row of each token in toks_, or null.
+  std::vector<const OperatorInfo*> ops_;
   std::size_t source_size_;
   std::size_t i_ = 0;
   int ignore_newlines_ = 0;
@@ -202,6 +177,17 @@ class Parser {
     const Token& t = cur();
     ++i_;
     return t;
+  }
+
+  /// The operator-table row of the current token, or null.
+  const OperatorInfo* cur_op() { return done() ? nullptr : ops_[i_]; }
+
+  /// Takes the current token when it is an infix operator of class `cls`.
+  const OperatorInfo* take_binary(OpClass cls) {
+    const OperatorInfo* op = cur_op();
+    if (op == nullptr || op->binary != cls) return nullptr;
+    ++i_;
+    return op;
   }
 
   std::size_t prev_end() const {
@@ -630,12 +616,11 @@ class Parser {
 
     if (!starts_command()) {
       AstPtr expr = parse_expression();
-      if (!done() && is_assignment_op(cur())) {
-        const std::string op(take().content);
+      if (const OperatorInfo* op = take_binary(OpClass::Assignment)) {
         skip_separators_limited_inside();
         AstPtr rhs = parse_statement();
         return mk<AssignmentStatementAst>(start, prev_end(),
-                                                        std::move(expr), op,
+                                                        std::move(expr), *op,
                                                         std::move(rhs));
       }
       elements.push_back(mk<CommandExpressionAst>(
@@ -765,64 +750,59 @@ class Parser {
 
   AstPtr parse_logical() {
     AstPtr lhs = parse_bitwise();
-    while (!done() && token_in(cur(), kLogicalOps)) {
-      const std::string op = to_lower(take().content);
+    while (const OperatorInfo* op = take_binary(OpClass::Logical)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_bitwise();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  op, std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
 
   AstPtr parse_bitwise() {
     AstPtr lhs = parse_comparison();
-    while (!done() && token_in(cur(), kBitwiseOps)) {
-      const std::string op = to_lower(take().content);
+    while (const OperatorInfo* op = take_binary(OpClass::Bitwise)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_comparison();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  op, std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
 
   AstPtr parse_comparison() {
     AstPtr lhs = parse_format();
-    while (!done() && token_in(cur(), kComparisonOps)) {
-      const std::string op = to_lower(take().content);
+    while (const OperatorInfo* op = take_binary(OpClass::Comparison)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_format();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  op, std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
 
   AstPtr parse_format() {
     AstPtr lhs = parse_range();
-    while (!done() && is_op(cur(), "-f")) {
-      take();
+    while (const OperatorInfo* op = take_binary(OpClass::Format)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_range();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  "-f", std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
 
   AstPtr parse_range() {
     AstPtr lhs = parse_comma();
-    while (!done() && is_op(cur(), "..")) {
-      take();
+    while (const OperatorInfo* op = take_binary(OpClass::Range)) {
       AstPtr rhs = parse_comma();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  "..", std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
@@ -843,26 +823,24 @@ class Parser {
 
   AstPtr parse_additive() {
     AstPtr lhs = parse_multiplicative();
-    while (!done() && token_in(cur(), kAdditiveOps)) {
-      const std::string op(take().content);
+    while (const OperatorInfo* op = take_binary(OpClass::Additive)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_multiplicative();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  op, std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
 
   AstPtr parse_multiplicative() {
     AstPtr lhs = parse_unary();
-    while (!done() && token_in(cur(), kMultiplicativeOps)) {
-      const std::string op(take().content);
+    while (const OperatorInfo* op = take_binary(OpClass::Multiplicative)) {
       skip_separators_limited_inside();
       AstPtr rhs = parse_unary();
       const std::size_t s = lhs->start();
       lhs = mk<BinaryExpressionAst>(s, prev_end(), std::move(lhs),
-                                                  op, std::move(rhs));
+                                                  *op, std::move(rhs));
     }
     return lhs;
   }
@@ -878,8 +856,7 @@ class Parser {
       case TokenType::GroupStart:
         return true;
       case TokenType::Operator:
-        return token_in(t, kUnaryOps) || iequals(t.content, "++") ||
-               iequals(t.content, "--");
+        return ops_[i_] != nullptr && ops_[i_]->unary;
       default:
         return false;
     }
@@ -887,12 +864,10 @@ class Parser {
 
   AstPtr parse_unary() {
     const Token& t = cur();
-    if (t.type == TokenType::Operator &&
-        (token_in(t, kUnaryOps) || t.content == "++" || t.content == "--")) {
-      const std::size_t start = t.start;
-      const std::string op = to_lower(take().content);
+    if (const OperatorInfo* op = ops_[i_]; op != nullptr && op->unary) {
+      const std::size_t start = take().start;
       AstPtr child = parse_unary();
-      return mk<UnaryExpressionAst>(start, prev_end(), op,
+      return mk<UnaryExpressionAst>(start, prev_end(), *op,
                                                   std::move(child));
     }
     if (t.type == TokenType::Type) {
@@ -972,10 +947,13 @@ class Parser {
                                                     std::move(index));
         continue;
       }
-      if (is_op(t, "++") || is_op(t, "--")) {
-        const std::string op = std::string(take().content) + "_post";
+      if (const OperatorInfo* op = ops_[i_];
+          op != nullptr && is_increment(op->op)) {
+        take();
+        const OperatorInfo& post = *find_operator(
+            op->op == Op::Increment ? "++_post" : "--_post");
         const std::size_t s = expr->start();
-        expr = mk<UnaryExpressionAst>(s, prev_end(), op,
+        expr = mk<UnaryExpressionAst>(s, prev_end(), post,
                                                     std::move(expr));
         continue;
       }

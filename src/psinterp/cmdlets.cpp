@@ -223,7 +223,9 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
   }
 
   // ---------------------------------------------------------- pipeline
-  if (name == "foreach-object" || name == "%") {
+  // `call.name` is resolved, so `%` / `foreach` arrive as foreach-object
+  // and `?` / `where` as where-object.
+  if (name == "foreach-object") {
     Value sb = arg_or_param({"process"});
     if (sb.is_scriptblock()) {
       invoke_scriptblock(sb.get_scriptblock(), call.input, /*per_item=*/true, out);
@@ -240,7 +242,7 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
     }
     return;
   }
-  if (name == "where-object" || name == "?") {
+  if (name == "where-object") {
     Value sb = arg_or_param({"filterscript"});
     if (!sb.is_scriptblock()) {
       for (const Value& v : call.input) out.push_back(v);

@@ -1,10 +1,12 @@
 #include "psinterp/interpreter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <utility>
 
 #include "pslang/alias_table.h"
+#include "pslang/operators.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
 #include "psinterp/objects.h"
@@ -255,6 +257,7 @@ Value Interpreter::evaluate_script(std::string_view script) {
   if (depth_ == 0) steps_ = 0;
   if (opts_.recorder != nullptr) opts_.recorder->on_engine_script(script);
   const ParsedScript root = parse_shared(script);
+  const Frame frame(*this);
   ++depth_;
   std::vector<Value> out;
   try {
@@ -278,6 +281,7 @@ Value Interpreter::evaluate(const Ast& node, std::string_view source,
   // the evaluation with its value.
   if (depth_ >= opts_.max_depth) throw LimitError("invoke depth exceeded", FailureKind::DepthLimit);
   const NodeOverrides* const saved = std::exchange(overrides_, overrides);
+  const Frame frame(*this);
   ++depth_;
   std::vector<Value> out;
   try {
@@ -400,21 +404,13 @@ void Interpreter::exec_assignment(const AssignmentStatementAst& st,
   if (st.left->kind() == NodeKind::VariableExpression) {
     const auto& var = static_cast<const VariableExpressionAst&>(*st.left);
     const std::string name = to_lower(var.name);
-    if (st.op == "=") {
+    if (st.id == Op::None) {
       assign_variable(name, std::move(rhs));
       return;
     }
-    Value current = eval_variable(var);
     // Compound assignment reuses the binary-operator core on values.
-    Value result = [&]() -> Value {
-      if (st.op == "+=") return eval_binary_values(current, "+", rhs);
-      if (st.op == "-=") return eval_binary_values(current, "-", rhs);
-      if (st.op == "*=") return eval_binary_values(current, "*", rhs);
-      if (st.op == "/=") return eval_binary_values(current, "/", rhs);
-      if (st.op == "%=") return eval_binary_values(current, "%", rhs);
-      throw EvalError("unsupported assignment operator " + st.op);
-    }();
-    assign_variable(name, std::move(result));
+    Value current = eval_variable(var);
+    assign_variable(name, eval_binary_values(current, st.id, false, rhs));
     return;
   }
   if (st.left->kind() == NodeKind::IndexExpression) {
@@ -627,24 +623,20 @@ Value Interpreter::eval_pipeline(const PipelineAst& pipe, std::string_view src,
       if (statement_position && pipe.elements.size() == 1 &&
           ce.expression->kind() == NodeKind::UnaryExpression) {
         const auto& un = static_cast<const UnaryExpressionAst&>(*ce.expression);
-        void_incdec = un.op.rfind("++", 0) == 0 || un.op.rfind("--", 0) == 0;
+        void_incdec = is_increment(un.id);
       }
       Value v = eval_expr(*ce.expression, src);
-      if (void_incdec) {
-        stream.clear();
-      } else if (pipe.elements.size() == 1) {
+      if (pipe.elements.size() == 1) {
         // A lone expression keeps its value shape (`(,(1,2))` stays a
         // one-element array); empty arrays emit nothing, as in PowerShell.
-        stream.clear();
-        if (v.is_array() && v.get_array().empty()) {
-          // nothing
-        } else if (!v.is_null()) {
-          stream.push_back(std::move(v));
+        if (!void_incdec && !v.is_null() &&
+            !(v.is_array() && v.get_array().empty())) {
+          out.push_back(std::move(v));
         }
-      } else {
-        // A pipeline stage enumerates arrays into the stream.
-        stream = flatten_stream(v);
+        return Value();
       }
+      // A pipeline stage enumerates arrays into the stream.
+      stream = flatten_stream(v);
     } else if (el.kind() == NodeKind::Command) {
       std::vector<Value> next;
       exec_command(static_cast<const CommandAst&>(el), src, std::move(stream), next);
@@ -734,8 +726,12 @@ Value Interpreter::eval_expr(const Ast& node, std::string_view src) {
     }
     case NodeKind::ScriptBlockExpression: {
       const auto& sbe = static_cast<const ScriptBlockExpressionAst&>(node);
-      const Ast& body = *sbe.script_block;
+      const auto& body = static_cast<const ScriptBlockAst&>(*sbe.script_block);
       std::string text(src.substr(body.start(), body.end() - body.start()));
+      if (!frames_.empty()) {
+        block_origins_.try_emplace(text).first->second =
+            BlockOrigin{&body, src, frames_.back()};
+      }
       return Value(ScriptBlock{std::move(text)});
     }
     case NodeKind::Pipeline: {
@@ -754,448 +750,489 @@ Value Interpreter::eval_expr(const Ast& node, std::string_view src) {
   }
 }
 
+namespace {
+
+/// Calls `fn` on each element of an array value, or on the value itself.
+template <class Fn>
+void for_each_item(const Value& v, Fn&& fn) {
+  if (v.is_array()) {
+    for (const Value& item : v.get_array()) fn(item);
+  } else {
+    fn(v);
+  }
+}
+
+/// Three-way order of two strings, ASCII case folded unless
+/// `case_sensitive`. Case-sensitively, strings that fold equal order
+/// lowercase first at their first difference ('a' -clt 'A'), as
+/// PowerShell's culture comparison does.
+int compare_text(std::string_view l, std::string_view r, bool case_sensitive) {
+  const auto fold = [](char c) {
+    return static_cast<unsigned char>(std::tolower(static_cast<unsigned char>(c)));
+  };
+  const std::size_t n = std::min(l.size(), r.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char a = fold(l[i]);
+    const unsigned char b = fold(r[i]);
+    if (a != b) return a < b ? -1 : 1;
+  }
+  if (l.size() != r.size()) return l.size() < r.size() ? -1 : 1;
+  if (case_sensitive) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (l[i] != r[i]) {
+        return std::islower(static_cast<unsigned char>(l[i])) != 0 ? -1 : 1;
+      }
+    }
+  }
+  return 0;
+}
+
+/// Three-way order of two scalars as the comparison operators see them:
+/// numerically when the left operand is a number, char or bool and both
+/// convert, else by display text.
+int compare_values(const Value& l, const Value& r, bool case_sensitive) {
+  if (l.is_number() || l.is_char() || l.is_bool()) {
+    double ld = 0, rd = 0;
+    if (l.try_to_double(ld) && r.try_to_double(rd)) {
+      if (ld < rd) return -1;
+      if (ld > rd) return 1;
+      return 0;
+    }
+  }
+  return compare_text(l.to_display_string(), r.to_display_string(),
+                      case_sensitive);
+}
+
+/// Whether `order` (a compare_values result) satisfies comparison `op`.
+bool order_satisfies(Op op, int order) {
+  switch (op) {
+    case Op::Eq: return order == 0;
+    case Op::Ne: return order != 0;
+    case Op::Gt: return order > 0;
+    case Op::Ge: return order >= 0;
+    case Op::Lt: return order < 0;
+    default: return order <= 0;  // Le
+  }
+}
+
+}  // namespace
+
 // The binary operator core works on values so compound assignment reuses it.
-Value Interpreter::eval_binary_values(const Value& lhs, const std::string& op,
-                                      const Value& rhs) {
+Value Interpreter::eval_binary_values(const Value& lhs, Op op,
+                                      bool case_sensitive, const Value& rhs) {
   charge_step();
-  // --- arithmetic ---
-  if (op == "+") {
-    if (lhs.is_string()) {
-      std::string out = lhs.get_string() + rhs.to_display_string();
-      charge_bytes(out.size(), /*enforce_max_string=*/true);
-      return Value(std::move(out));
-    }
-    if (lhs.is_char()) {
-      if (rhs.is_string() || rhs.is_char()) {
-        return Value(utf8_encode(lhs.get_char().code) + rhs.to_display_string());
+  const std::string_view name = spelling(op);
+  switch (op) {
+    // --- arithmetic ---
+    case Op::Add: {
+      if (lhs.is_string()) {
+        std::string out = lhs.get_string() + rhs.to_display_string();
+        charge_bytes(out.size(), /*enforce_max_string=*/true);
+        return Value(std::move(out));
       }
-      return Value(static_cast<std::int64_t>(lhs.get_char().code) +
-                   need_int(rhs, "+"));
-    }
-    if (lhs.is_array()) {
-      Array out = lhs.get_array();
-      if (rhs.is_array()) {
-        for (const Value& v : rhs.get_array()) out.push_back(v);
-      } else {
-        out.push_back(rhs);
-      }
-      return Value(std::move(out));
-    }
-    if (lhs.is_bytes()) {
-      Bytes out = lhs.get_bytes();
-      if (rhs.is_bytes()) {
-        const Bytes& r = rhs.get_bytes();
-        out.insert(out.end(), r.begin(), r.end());
-      } else {
-        out.push_back(static_cast<std::uint8_t>(need_int(rhs, "+")));
-      }
-      return Value(std::move(out));
-    }
-    if (lhs.is_hashtable() && rhs.is_hashtable()) {
-      Hashtable out = lhs.get_hashtable();
-      for (const auto& [k, v] : rhs.get_hashtable().entries) {
-        out.entries.emplace_back(k, v);
-      }
-      return Value(std::move(out));
-    }
-    if (lhs.is_int() || lhs.is_bool() || lhs.is_null()) {
-      if (rhs.is_double()) {
-        double l = 0;
-        lhs.try_to_double(l);
-        return Value(l + rhs.get_double());
-      }
-      return Value(need_int(lhs, "+") + need_int(rhs, "+"));
-    }
-    if (lhs.is_double()) {
-      double r = 0;
-      if (!rhs.try_to_double(r)) throw EvalError("cannot add");
-      return Value(lhs.get_double() + r);
-    }
-    throw EvalError("cannot apply + to " + lhs.type_name());
-  }
-  if (op == "*") {
-    if (lhs.is_string()) {
-      const std::int64_t n = need_int(rhs, "*");
-      if (n < 0) throw EvalError("negative string repeat");
-      std::string out;
-      charge_bytes(lhs.get_string().size() * static_cast<std::size_t>(n),
-                   /*enforce_max_string=*/true);
-      for (std::int64_t i = 0; i < n; ++i) out += lhs.get_string();
-      return Value(std::move(out));
-    }
-    if (lhs.is_array()) {
-      const std::int64_t n = need_int(rhs, "*");
-      Array out;
-      for (std::int64_t i = 0; i < n; ++i) {
-        for (const Value& v : lhs.get_array()) out.push_back(v);
-      }
-      return Value(std::move(out));
-    }
-    if (lhs.is_double() || rhs.is_double()) {
-      double l = 0, r = 0;
-      if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot multiply");
-      return Value(l * r);
-    }
-    return Value(need_int(lhs, "*") * need_int(rhs, "*"));
-  }
-  if (op == "-") {
-    if (lhs.is_double() || rhs.is_double()) {
-      double l = 0, r = 0;
-      if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot subtract");
-      return Value(l - r);
-    }
-    return Value(need_int(lhs, "-") - need_int(rhs, "-"));
-  }
-  if (op == "/") {
-    double l = 0, r = 0;
-    if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot divide");
-    if (r == 0) throw EvalError("division by zero");
-    const double q = l / r;
-    if (lhs.is_int() && rhs.is_int() && q == std::floor(q)) {
-      return Value(static_cast<std::int64_t>(q));
-    }
-    return Value(q);
-  }
-  if (op == "%") {
-    const std::int64_t r = need_int(rhs, "%");
-    if (r == 0) throw EvalError("modulo by zero");
-    return Value(need_int(lhs, "%") % r);
-  }
-
-  // --- range ---
-  if (op == "..") {
-    const std::int64_t lo = need_int(lhs, "range");
-    const std::int64_t hi = need_int(rhs, "range");
-    // The span in unsigned arithmetic: `hi - lo` overflows for bounds
-    // far apart.
-    const auto ulo = static_cast<std::uint64_t>(lo);
-    const auto uhi = static_cast<std::uint64_t>(hi);
-    const std::uint64_t span = lo <= hi ? uhi - ulo : ulo - uhi;
-    if (span >= 1000000) {
-      throw LimitError("range too large", FailureKind::MemoryBudget);
-    }
-    const auto n = static_cast<std::int64_t>(span) + 1;
-    charge_bytes(static_cast<std::size_t>(n) * sizeof(Value));
-    Array out;
-    out.reserve(static_cast<std::size_t>(n));
-    if (lo <= hi) {
-      for (std::int64_t i = lo; i <= hi; ++i) out.push_back(Value(i));
-    } else {
-      for (std::int64_t i = lo; i >= hi; --i) out.push_back(Value(i));
-    }
-    return Value(std::move(out));
-  }
-
-  // --- format ---
-  if (op == "-f") {
-    std::vector<Value> args;
-    if (rhs.is_array()) {
-      args = rhs.get_array();
-    } else {
-      args.push_back(rhs);
-    }
-    return Value(format_operator(lhs.to_display_string(), args));
-  }
-
-  // --- join / split / replace / match / like ---
-  if (op == "-join" || op == "-cjoin" || op == "-ijoin") {
-    const std::string sep = rhs.to_display_string();
-    std::string out;
-    const std::vector<Value> items = lhs.is_array()
-                                         ? lhs.get_array()
-                                         : std::vector<Value>{lhs};
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i) out += sep;
-      out += items[i].to_display_string();
-    }
-    return Value(std::move(out));
-  }
-  if (op == "-split" || op == "-csplit" || op == "-isplit") {
-    const std::string pattern = rhs.to_display_string();
-    Array out;
-    try {
-      const Pattern re(pattern, op != "-csplit");
-      // An array left operand splits each element and flattens the results.
-      for (const Value& item : lhs.is_array() ? lhs.get_array() : Array{lhs}) {
-        for (std::string& field : re.split(item.to_display_string())) {
-          out.push_back(Value(std::move(field)));
+      if (lhs.is_char()) {
+        if (rhs.is_string() || rhs.is_char()) {
+          return Value(utf8_encode(lhs.get_char().code) + rhs.to_display_string());
         }
+        return Value(static_cast<std::int64_t>(lhs.get_char().code) +
+                     need_int(rhs, name));
       }
-    } catch (const PatternError&) {
-      throw EvalError("bad split pattern: " + pattern);
+      if (lhs.is_array()) {
+        Array out = lhs.get_array();
+        if (rhs.is_array()) {
+          for (const Value& v : rhs.get_array()) out.push_back(v);
+        } else {
+          out.push_back(rhs);
+        }
+        return Value(std::move(out));
+      }
+      if (lhs.is_bytes()) {
+        Bytes out = lhs.get_bytes();
+        if (rhs.is_bytes()) {
+          const Bytes& r = rhs.get_bytes();
+          out.insert(out.end(), r.begin(), r.end());
+        } else {
+          out.push_back(static_cast<std::uint8_t>(need_int(rhs, name)));
+        }
+        return Value(std::move(out));
+      }
+      if (lhs.is_hashtable() && rhs.is_hashtable()) {
+        Hashtable out = lhs.get_hashtable();
+        for (const auto& [k, v] : rhs.get_hashtable().entries) {
+          out.entries.emplace_back(k, v);
+        }
+        return Value(std::move(out));
+      }
+      if (lhs.is_int() || lhs.is_bool() || lhs.is_null()) {
+        if (rhs.is_double()) {
+          double l = 0;
+          lhs.try_to_double(l);
+          return Value(l + rhs.get_double());
+        }
+        return Value(need_int(lhs, name) + need_int(rhs, name));
+      }
+      if (lhs.is_double()) {
+        double r = 0;
+        if (!rhs.try_to_double(r)) throw EvalError("cannot add");
+        return Value(lhs.get_double() + r);
+      }
+      throw EvalError("cannot apply + to " + lhs.type_name());
     }
-    return Value(std::move(out));
-  }
-  if (op == "-replace" || op == "-creplace" || op == "-ireplace") {
-    std::string pattern;
-    std::string replacement;
-    if (rhs.is_array() && rhs.get_array().size() >= 2) {
-      pattern = rhs.get_array()[0].to_display_string();
-      replacement = rhs.get_array()[1].to_display_string();
-    } else if (rhs.is_array() && rhs.get_array().size() == 1) {
-      pattern = rhs.get_array()[0].to_display_string();
-    } else {
-      pattern = rhs.to_display_string();
+    case Op::Multiply: {
+      if (lhs.is_string()) {
+        const std::int64_t n = need_int(rhs, name);
+        if (n < 0) throw EvalError("negative string repeat");
+        std::string out;
+        charge_bytes(lhs.get_string().size() * static_cast<std::size_t>(n),
+                     /*enforce_max_string=*/true);
+        for (std::int64_t i = 0; i < n; ++i) out += lhs.get_string();
+        return Value(std::move(out));
+      }
+      if (lhs.is_array()) {
+        const std::int64_t n = need_int(rhs, name);
+        Array out;
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (const Value& v : lhs.get_array()) out.push_back(v);
+        }
+        return Value(std::move(out));
+      }
+      if (lhs.is_double() || rhs.is_double()) {
+        double l = 0, r = 0;
+        if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot multiply");
+        return Value(l * r);
+      }
+      return Value(need_int(lhs, name) * need_int(rhs, name));
     }
-    auto apply = [&](const std::string& text) -> std::string {
+    case Op::Subtract: {
+      if (lhs.is_double() || rhs.is_double()) {
+        double l = 0, r = 0;
+        if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot subtract");
+        return Value(l - r);
+      }
+      return Value(need_int(lhs, name) - need_int(rhs, name));
+    }
+    case Op::Divide: {
+      double l = 0, r = 0;
+      if (!lhs.try_to_double(l) || !rhs.try_to_double(r)) throw EvalError("cannot divide");
+      if (r == 0) throw EvalError("division by zero");
+      const double q = l / r;
+      if (lhs.is_int() && rhs.is_int() && q == std::floor(q)) {
+        return Value(static_cast<std::int64_t>(q));
+      }
+      return Value(q);
+    }
+    case Op::Remainder: {
+      const std::int64_t r = need_int(rhs, name);
+      if (r == 0) throw EvalError("modulo by zero");
+      return Value(need_int(lhs, name) % r);
+    }
+
+    // --- range ---
+    case Op::Range: {
+      const std::int64_t lo = need_int(lhs, "range");
+      const std::int64_t hi = need_int(rhs, "range");
+      // The span in unsigned arithmetic: `hi - lo` overflows for bounds
+      // far apart.
+      const auto ulo = static_cast<std::uint64_t>(lo);
+      const auto uhi = static_cast<std::uint64_t>(hi);
+      const std::uint64_t span = lo <= hi ? uhi - ulo : ulo - uhi;
+      if (span >= 1000000) {
+        throw LimitError("range too large", FailureKind::MemoryBudget);
+      }
+      const auto n = static_cast<std::int64_t>(span) + 1;
+      charge_bytes(static_cast<std::size_t>(n) * sizeof(Value));
+      Array out;
+      out.reserve(static_cast<std::size_t>(n));
+      if (lo <= hi) {
+        for (std::int64_t i = lo; i <= hi; ++i) out.push_back(Value(i));
+      } else {
+        for (std::int64_t i = lo; i >= hi; --i) out.push_back(Value(i));
+      }
+      return Value(std::move(out));
+    }
+
+    // --- format ---
+    case Op::Format: {
+      std::vector<Value> args;
+      if (rhs.is_array()) {
+        args = rhs.get_array();
+      } else {
+        args.push_back(rhs);
+      }
+      return Value(format_operator(lhs.to_display_string(), args));
+    }
+
+    // --- join / split / replace / match / like ---
+    case Op::Join: {
+      const std::string sep = rhs.to_display_string();
+      std::string out;
+      bool first = true;
+      for_each_item(lhs, [&](const Value& item) {
+        if (!first) out += sep;
+        first = false;
+        out += item.to_display_string();
+      });
+      return Value(std::move(out));
+    }
+    case Op::Split: {
+      const std::string pattern = rhs.to_display_string();
+      Array out;
       try {
-        return Pattern(pattern, op != "-creplace").replace(text, replacement);
+        const Pattern re(pattern, !case_sensitive);
+        // An array left operand splits each element and flattens the results.
+        for_each_item(lhs, [&](const Value& item) {
+          for (std::string& field : re.split(item.to_display_string())) {
+            out.push_back(Value(std::move(field)));
+          }
+        });
       } catch (const PatternError&) {
-        throw EvalError("bad replace pattern: " + pattern);
+        throw EvalError("bad split pattern: " + pattern);
       }
-    };
-    if (lhs.is_array()) {
-      Array out;
-      for (const Value& v : lhs.get_array()) out.push_back(Value(apply(v.to_display_string())));
       return Value(std::move(out));
     }
-    return Value(apply(lhs.to_display_string()));
-  }
-  if (op == "-match" || op == "-notmatch" || op == "-cmatch" || op == "-imatch") {
-    const bool negate = op == "-notmatch";
-    const std::string pattern = rhs.to_display_string();
-    auto match_one = [&](const std::string& text, std::vector<std::string>* groups) {
+    case Op::Replace: {
+      std::string pattern;
+      std::string replacement;
+      if (rhs.is_array() && rhs.get_array().size() >= 2) {
+        pattern = rhs.get_array()[0].to_display_string();
+        replacement = rhs.get_array()[1].to_display_string();
+      } else if (rhs.is_array() && rhs.get_array().size() == 1) {
+        pattern = rhs.get_array()[0].to_display_string();
+      } else {
+        pattern = rhs.to_display_string();
+      }
+      auto apply = [&](const std::string& text) -> std::string {
+        try {
+          return Pattern(pattern, !case_sensitive).replace(text, replacement);
+        } catch (const PatternError&) {
+          throw EvalError("bad replace pattern: " + pattern);
+        }
+      };
+      if (lhs.is_array()) {
+        Array out;
+        for (const Value& v : lhs.get_array()) out.push_back(Value(apply(v.to_display_string())));
+        return Value(std::move(out));
+      }
+      return Value(apply(lhs.to_display_string()));
+    }
+    case Op::Match:
+    case Op::NotMatch: {
+      const bool negate = op == Op::NotMatch;
+      const std::string pattern = rhs.to_display_string();
+      auto match_one = [&](const std::string& text, std::vector<std::string>* groups) {
+        try {
+          const Pattern re(pattern, !case_sensitive);
+          if (groups != nullptr) return re.search(text, *groups);
+          return re.search(text);
+        } catch (const PatternError&) {
+          throw EvalError("bad match pattern: " + pattern);
+        }
+      };
+      if (lhs.is_array()) {
+        Array out;
+        for (const Value& v : lhs.get_array()) {
+          if (match_one(v.to_display_string(), nullptr) != negate) out.push_back(v);
+        }
+        return Value(std::move(out));
+      }
+      const std::string text = lhs.to_display_string();
+      std::vector<std::string> groups;
+      const bool hit = match_one(text, &groups);
+      if (hit && !negate) {
+        // A successful scalar -match populates $matches with the groups.
+        Hashtable ht;
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          ht.entries.emplace_back(Value(static_cast<std::int64_t>(g)),
+                                  Value(std::move(groups[g])));
+        }
+        assign_variable("matches", Value(std::move(ht)));
+      }
+      return Value(hit != negate);
+    }
+    case Op::Like:
+    case Op::NotLike: {
+      const bool negate = op == Op::NotLike;
+      const std::string pattern = rhs.to_display_string();
+      const auto like = [&](const Value& v) {
+        return wildcard_match(pattern, v.to_display_string(), case_sensitive) !=
+               negate;
+      };
+      if (lhs.is_array()) {
+        Array out;
+        for (const Value& v : lhs.get_array()) {
+          if (like(v)) out.push_back(v);
+        }
+        return Value(std::move(out));
+      }
+      return Value(like(lhs));
+    }
+
+    // --- comparison: an array left operand filters its elements ---
+    case Op::Eq:
+    case Op::Ne:
+    case Op::Gt:
+    case Op::Ge:
+    case Op::Lt:
+    case Op::Le: {
+      const auto test = [&](const Value& l) {
+        return order_satisfies(op, compare_values(l, rhs, case_sensitive));
+      };
+      if (lhs.is_array()) {
+        Array out;
+        for (const Value& v : lhs.get_array()) {
+          if (test(v)) out.push_back(v);
+        }
+        return Value(std::move(out));
+      }
+      return Value(test(lhs));
+    }
+    case Op::Contains:
+    case Op::NotContains: {
+      bool found = false;
+      for_each_item(lhs, [&](const Value& v) {
+        found = found || compare_values(v, rhs, case_sensitive) == 0;
+      });
+      return Value(found != (op == Op::NotContains));
+    }
+    case Op::In:
+    case Op::NotIn: {
+      bool found = false;
+      for_each_item(rhs, [&](const Value& v) {
+        found = found || compare_values(lhs, v, case_sensitive) == 0;
+      });
+      return Value(found != (op == Op::NotIn));
+    }
+
+    // --- bitwise ---
+    case Op::Band: return Value(need_int(lhs, name) & need_int(rhs, name));
+    case Op::Bor: return Value(need_int(lhs, name) | need_int(rhs, name));
+    case Op::Bxor: return Value(need_int(lhs, name) ^ need_int(rhs, name));
+    case Op::Shl: return Value(need_int(lhs, name) << (need_int(rhs, name) & 63));
+    case Op::Shr: return Value(need_int(lhs, name) >> (need_int(rhs, name) & 63));
+
+    // --- logical ---
+    case Op::And: return Value(lhs.to_bool() && rhs.to_bool());
+    case Op::Or: return Value(lhs.to_bool() || rhs.to_bool());
+    case Op::Xor: return Value(lhs.to_bool() != rhs.to_bool());
+
+    // --- type tests ---
+    case Op::Is:
+    case Op::IsNot: {
+      std::string want = to_lower(rhs.to_display_string());
+      if (!want.empty() && want.front() == '[') want = want.substr(1, want.size() - 2);
+      if (want.rfind("system.", 0) == 0) want = want.substr(7);
+      const std::string tn = to_lower(lhs.type_name());
+      bool is = false;
+      if (want == "string") is = lhs.is_string();
+      else if (want == "int" || want == "int32" || want == "int64" || want == "long")
+        is = lhs.is_int();
+      else if (want == "double" || want == "float") is = lhs.is_double();
+      else if (want == "char") is = lhs.is_char();
+      else if (want == "bool" || want == "boolean") is = lhs.is_bool();
+      else if (want == "array" || want == "object[]") is = lhs.is_array();
+      else if (want == "hashtable") is = lhs.is_hashtable();
+      else if (want == "scriptblock") is = lhs.is_scriptblock();
+      else is = tn == want;
+      return Value(op == Op::Is ? is : !is);
+    }
+    case Op::As: {
+      std::string want = to_lower(rhs.to_display_string());
+      if (!want.empty() && want.front() == '[') want = want.substr(1, want.size() - 2);
       try {
-        const Pattern re(pattern, op != "-cmatch");
-        if (groups != nullptr) return re.search(text, *groups);
-        return re.search(text);
-      } catch (const PatternError&) {
-        throw EvalError("bad match pattern: " + pattern);
-      }
-    };
-    if (lhs.is_array()) {
-      Array out;
-      for (const Value& v : lhs.get_array()) {
-        if (match_one(v.to_display_string(), nullptr) != negate) out.push_back(v);
-      }
-      return Value(std::move(out));
-    }
-    const std::string text = lhs.to_display_string();
-    std::vector<std::string> groups;
-    const bool hit = match_one(text, &groups);
-    if (hit && !negate) {
-      // A successful scalar -match populates $matches with the groups.
-      Hashtable ht;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        ht.entries.emplace_back(Value(static_cast<std::int64_t>(g)),
-                                Value(std::move(groups[g])));
-      }
-      assign_variable("matches", Value(std::move(ht)));
-    }
-    return Value(hit != negate);
-  }
-  if (op == "-like" || op == "-notlike" || op == "-clike" || op == "-ilike") {
-    const bool negate = op == "-notlike";
-    const std::string pattern = rhs.to_display_string();
-    if (lhs.is_array()) {
-      Array out;
-      for (const Value& v : lhs.get_array()) {
-        if (wildcard_match(pattern, v.to_display_string()) != negate) out.push_back(v);
-      }
-      return Value(std::move(out));
-    }
-    return Value(wildcard_match(pattern, lhs.to_display_string()) != negate);
-  }
-
-  // --- comparison ---
-  auto scalar_compare = [&](const Value& l, const Value& r) -> int {
-    if (l.is_number() || l.is_char() || l.is_bool()) {
-      double ld = 0, rd = 0;
-      if (l.try_to_double(ld) && r.try_to_double(rd)) {
-        if (ld < rd) return -1;
-        if (ld > rd) return 1;
-        return 0;
+        return cast_value(normalize_type_name(want), lhs, want);
+      } catch (const EvalError&) {
+        return Value();
       }
     }
-    const std::string ls = to_lower(l.to_display_string());
-    const std::string rs = to_lower(r.to_display_string());
-    if (ls < rs) return -1;
-    if (ls > rs) return 1;
-    return 0;
-  };
-  auto case_compare = [&](const Value& l, const Value& r) -> int {
-    const std::string ls = l.to_display_string();
-    const std::string rs = r.to_display_string();
-    if (ls < rs) return -1;
-    if (ls > rs) return 1;
-    return 0;
-  };
-
-  const bool is_eq = op == "-eq" || op == "-ieq";
-  const bool is_ceq = op == "-ceq";
-  const bool is_ne = op == "-ne" || op == "-ine";
-  const bool is_cne = op == "-cne";
-  if (is_eq || is_ne || is_ceq || is_cne) {
-    auto test = [&](const Value& l) {
-      const int c = (is_ceq || is_cne) ? case_compare(l, rhs) : scalar_compare(l, rhs);
-      const bool eq = c == 0;
-      return (is_eq || is_ceq) ? eq : !eq;
-    };
-    if (lhs.is_array()) {
-      Array out;
-      for (const Value& v : lhs.get_array()) {
-        if (test(v)) out.push_back(v);
-      }
-      return Value(std::move(out));
-    }
-    return Value(test(lhs));
+    default:
+      break;
   }
-  if (op == "-gt" || op == "-lt" || op == "-ge" || op == "-le") {
-    const int c = scalar_compare(lhs, rhs);
-    if (op == "-gt") return Value(c > 0);
-    if (op == "-lt") return Value(c < 0);
-    if (op == "-ge") return Value(c >= 0);
-    return Value(c <= 0);
-  }
-  if (op == "-contains" || op == "-notcontains") {
-    const bool negate = op == "-notcontains";
-    bool found = false;
-    for (const Value& v : lhs.is_array() ? lhs.get_array() : Array{lhs}) {
-      if (scalar_compare(v, rhs) == 0) {
-        found = true;
-        break;
-      }
-    }
-    return Value(found != negate);
-  }
-  if (op == "-in" || op == "-notin") {
-    const bool negate = op == "-notin";
-    bool found = false;
-    for (const Value& v : rhs.is_array() ? rhs.get_array() : Array{rhs}) {
-      if (scalar_compare(lhs, v) == 0) {
-        found = true;
-        break;
-      }
-    }
-    return Value(found != negate);
-  }
-
-  // --- bitwise ---
-  if (op == "-band") return Value(need_int(lhs, op) & need_int(rhs, op));
-  if (op == "-bor") return Value(need_int(lhs, op) | need_int(rhs, op));
-  if (op == "-bxor") return Value(need_int(lhs, op) ^ need_int(rhs, op));
-  if (op == "-shl") return Value(need_int(lhs, op) << (need_int(rhs, op) & 63));
-  if (op == "-shr") return Value(need_int(lhs, op) >> (need_int(rhs, op) & 63));
-
-  // --- logical ---
-  if (op == "-and") return Value(lhs.to_bool() && rhs.to_bool());
-  if (op == "-or") return Value(lhs.to_bool() || rhs.to_bool());
-  if (op == "-xor") return Value(lhs.to_bool() != rhs.to_bool());
-
-  // --- type tests ---
-  if (op == "-is" || op == "-isnot") {
-    std::string want = to_lower(rhs.to_display_string());
-    if (!want.empty() && want.front() == '[') want = want.substr(1, want.size() - 2);
-    if (want.rfind("system.", 0) == 0) want = want.substr(7);
-    const std::string tn = to_lower(lhs.type_name());
-    bool is = false;
-    if (want == "string") is = lhs.is_string();
-    else if (want == "int" || want == "int32" || want == "int64" || want == "long")
-      is = lhs.is_int();
-    else if (want == "double" || want == "float") is = lhs.is_double();
-    else if (want == "char") is = lhs.is_char();
-    else if (want == "bool" || want == "boolean") is = lhs.is_bool();
-    else if (want == "array" || want == "object[]") is = lhs.is_array();
-    else if (want == "hashtable") is = lhs.is_hashtable();
-    else if (want == "scriptblock") is = lhs.is_scriptblock();
-    else is = to_lower(tn) == want;
-    return Value(op == "-is" ? is : !is);
-  }
-  if (op == "-as") {
-    std::string want = to_lower(rhs.to_display_string());
-    if (!want.empty() && want.front() == '[') want = want.substr(1, want.size() - 2);
-    try {
-      return cast_value(want, lhs);
-    } catch (const EvalError&) {
-      return Value();
-    }
-  }
-
-  throw EvalError("unsupported binary operator " + op);
+  throw EvalError("unsupported binary operator " + std::string(name));
 }
 
 Value Interpreter::eval_binary(const BinaryExpressionAst& bin, std::string_view src) {
   // Short-circuit logical operators.
-  if (bin.op == "-and") {
+  if (bin.id == Op::And) {
     const Value l = eval_expr(*bin.left, src);
     if (!l.to_bool()) return Value(false);
     return Value(eval_expr(*bin.right, src).to_bool());
   }
-  if (bin.op == "-or") {
+  if (bin.id == Op::Or) {
     const Value l = eval_expr(*bin.left, src);
     if (l.to_bool()) return Value(true);
     return Value(eval_expr(*bin.right, src).to_bool());
   }
   const Value lhs = eval_expr(*bin.left, src);
   const Value rhs = eval_expr(*bin.right, src);
-  return eval_binary_values(lhs, bin.op, rhs);
+  return eval_binary_values(lhs, bin.id, bin.case_sensitive, rhs);
 }
 
 Value Interpreter::eval_unary(const UnaryExpressionAst& un, std::string_view src) {
-  const std::string& op = un.op;
-  if (op == "++" || op == "--" || op == "++_post" || op == "--_post") {
+  if (is_increment(un.id)) {
     if (un.child->kind() != NodeKind::VariableExpression) {
       throw EvalError("++/-- needs a variable");
     }
     const auto& var = static_cast<const VariableExpressionAst&>(*un.child);
     Value current = eval_variable(var);
-    const std::int64_t old = current.is_null() ? 0 : need_int(current, op);
-    const std::int64_t next = op[0] == '+' ? old + 1 : old - 1;
+    const std::int64_t old = current.is_null() ? 0 : need_int(current, un.op);
+    const bool up = un.id == Op::Increment || un.id == Op::PostIncrement;
+    const std::int64_t next = up ? old + 1 : old - 1;
     assign_variable(to_lower(var.name), Value(next));
-    const bool post = op.size() > 2;
+    const bool post = un.id == Op::PostIncrement || un.id == Op::PostDecrement;
     return Value(post ? old : next);
   }
   const Value v = eval_expr(*un.child, src);
-  return eval_unary_value(op, v);
+  return eval_unary_value(un.id, v);
 }
 
-Value Interpreter::eval_unary_value(const std::string& op, const Value& v) {
-  if (op == "-") {
-    if (v.is_double()) return Value(-v.get_double());
-    return Value(-need_int(v, "-"));
-  }
-  if (op == "+") {
-    if (v.is_double()) return v;
-    return Value(need_int(v, "+"));
-  }
-  if (op == "!" || op == "-not") return Value(!v.to_bool());
-  if (op == "-bnot") return Value(~need_int(v, op));
-  if (op == "-join") {
-    std::string out;
-    for (const Value& item : v.is_array() ? v.get_array() : Array{v}) {
-      out += item.to_display_string();
+Value Interpreter::eval_unary_value(Op op, const Value& v) {
+  switch (op) {
+    case Op::Subtract:
+      if (v.is_double()) return Value(-v.get_double());
+      return Value(-need_int(v, spelling(op)));
+    case Op::Add:
+      if (v.is_double()) return v;
+      return Value(need_int(v, spelling(op)));
+    case Op::Not:
+      return Value(!v.to_bool());
+    case Op::Bnot:
+      return Value(~need_int(v, spelling(op)));
+    case Op::Join: {
+      std::string out;
+      for_each_item(v, [&](const Value& item) { out += item.to_display_string(); });
+      return Value(std::move(out));
     }
-    return Value(std::move(out));
-  }
-  if (op == "-split") {
-    const std::string text = v.to_display_string();
-    Array out;
-    std::string word;
-    for (char c : text) {
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        if (!word.empty()) {
-          out.push_back(Value(word));
-          word.clear();
+    case Op::Split: {
+      const std::string text = v.to_display_string();
+      Array out;
+      std::string word;
+      for (char c : text) {
+        if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+          if (!word.empty()) {
+            out.push_back(Value(word));
+            word.clear();
+          }
+        } else {
+          word.push_back(c);
         }
-      } else {
-        word.push_back(c);
       }
+      if (!word.empty()) out.push_back(Value(word));
+      return Value(std::move(out));
     }
-    if (!word.empty()) out.push_back(Value(word));
-    return Value(std::move(out));
+    case Op::Comma: {
+      Array out;
+      out.push_back(v);
+      return Value(std::move(out));
+    }
+    default:
+      throw EvalError("unsupported unary operator " + std::string(spelling(op)));
   }
-  if (op == ",") {
-    Array out;
-    out.push_back(v);
-    return Value(std::move(out));
-  }
-  throw EvalError("unsupported unary operator " + op);
 }
 
 Value Interpreter::eval_convert(const ConvertExpressionAst& conv,
                                 std::string_view src) {
   const Value v = eval_expr(*conv.child, src);
-  return cast_value(to_lower(conv.type_name), v);
+  return cast_value(conv.type_key, v, conv.type_name);
 }
 
 Value Interpreter::eval_index(const IndexExpressionAst& idx, std::string_view src) {
@@ -1205,9 +1242,11 @@ Value Interpreter::eval_index(const IndexExpressionAst& idx, std::string_view sr
 }
 
 Value Interpreter::eval_index_values(const Value& target, const Value& index) {
+  // A string's code points, decoded once for every index of the call.
+  std::vector<std::uint32_t> cps;
+  if (target.is_string()) cps = utf8_codepoints(target.get_string());
   auto pick_one = [&](const Value& container, std::int64_t i) -> Value {
     if (container.is_string()) {
-      const auto cps = utf8_codepoints(container.get_string());
       if (i < 0) i += static_cast<std::int64_t>(cps.size());
       if (i < 0 || i >= static_cast<std::int64_t>(cps.size())) return Value();
       return Value(PsChar{cps[static_cast<std::size_t>(i)]});
@@ -1346,9 +1385,8 @@ Value Interpreter::expand_string(const std::string& raw, std::string_view src) {
 
 // ------------------------------------------------------------------- casts
 
-Value Interpreter::cast_value(const std::string& type_name, const Value& v) {
-  std::string t = to_lower(type_name);
-  if (t.rfind("system.", 0) == 0) t = t.substr(7);
+Value Interpreter::cast_value(const std::string& t, const Value& v,
+                              std::string_view type_name) {
 
   if (t == "char") {
     if (v.is_char()) return v;
@@ -1422,21 +1460,43 @@ Value Interpreter::cast_value(const std::string& type_name, const Value& v) {
     throw EvalError("cannot cast to MemoryStream");
   }
   if (t == "object" || t == "psobject") return v;
-  if (t == "type") return Value("[" + type_name + "]");
+  if (t == "type") return Value("[" + to_lower(type_name) + "]");
   if (t == "securestring") {
     if (v.is_object()) return v;
     throw EvalError("cannot cast to SecureString");
   }
-  throw EvalError("unsupported cast to [" + type_name + "]");
+  throw EvalError("unsupported cast to [" + to_lower(type_name) + "]");
 }
 
 // ------------------------------------------------------------ scriptblocks
+
+const Interpreter::BlockOrigin* Interpreter::live_origin(
+    const std::string& text) const {
+  const auto it = block_origins_.find(text);
+  if (it == block_origins_.end()) return nullptr;
+  const bool live = std::find(frames_.rbegin(), frames_.rend(),
+                              it->second.frame) != frames_.rend();
+  return live ? &it->second : nullptr;
+}
 
 void Interpreter::invoke_scriptblock(const ScriptBlock& sb,
                                      const std::vector<Value>& input, bool per_item,
                                      std::vector<Value>& out) {
   if (depth_ >= opts_.max_depth) throw LimitError("invoke depth exceeded", FailureKind::DepthLimit);
-  const ParsedScript root = parse_shared(sb.text);
+  // A block evaluated from a node of a live tree runs that node; any other
+  // block parses its text.
+  ParsedScript parsed;
+  const ScriptBlockAst* root = nullptr;
+  std::string_view src;
+  if (const BlockOrigin* origin = live_origin(sb.text)) {
+    root = origin->node;
+    src = origin->source;
+  } else {
+    parsed = parse_shared(sb.text);
+    root = parsed.get();
+    src = sb.text;
+  }
+  const Frame frame(*this);
   ++depth_;
   scopes_.emplace_back();
   struct Pop {
@@ -1450,7 +1510,7 @@ void Interpreter::invoke_scriptblock(const ScriptBlock& sb,
   auto run_once = [&]() {
     try {
       for (const auto& block : root->named_blocks) {
-        exec_statement_list(block->statements, sb.text, out);
+        exec_statement_list(block->statements, src, out);
       }
     } catch (const ReturnSignal& r) {
       if (!r.value.is_null()) out.push_back(r.value);
@@ -1482,6 +1542,7 @@ Value Interpreter::call_function(const FunctionInfo& fn,
                                  const std::vector<Value>& args) {
   if (depth_ >= opts_.max_depth) throw LimitError("invoke depth exceeded", FailureKind::DepthLimit);
   const ParsedScript root = parse_shared(fn.body_text);
+  const Frame frame(*this);
   ++depth_;
   scopes_.emplace_back();
   struct Pop {
@@ -1511,13 +1572,15 @@ Value Interpreter::call_function(const FunctionInfo& fn,
 
 // --------------------------------------------------------------- utilities
 
-bool wildcard_match(std::string_view pattern, std::string_view text) {
-  // Iterative glob with '*' backtracking; case-insensitive; supports ?,
-  // * and [a-z] classes.
+bool wildcard_match(std::string_view pattern, std::string_view text,
+                    bool case_sensitive) {
+  // Iterative glob with '*' backtracking; supports ?, * and [a-z] classes.
   std::size_t p = 0, t = 0;
   std::size_t star_p = std::string_view::npos, star_t = 0;
-  auto lower = [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  auto lower = [case_sensitive](char c) {
+    return case_sensitive
+               ? c
+               : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   };
   while (t < text.size()) {
     bool matched = false;

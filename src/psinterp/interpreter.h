@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "psast/ast.h"
@@ -236,6 +237,41 @@ class Interpreter {
   std::size_t steps_ = 0;
   std::size_t depth_ = 0;
 
+  /// The evaluations on the stack, innermost last, by id: evaluate(),
+  /// evaluate_script(), and the script blocks and functions they run. A
+  /// frame pins its tree and its source text until it returns.
+  std::vector<std::uint64_t> frames_;
+  std::uint64_t next_frame_ = 0;
+  /// Pushes a frame for its lifetime; the outermost one, returning, drops
+  /// every block origin, since no frame they name is live any more.
+  class Frame {
+   public:
+    explicit Frame(Interpreter& interp) : interp_(interp) {
+      interp_.frames_.push_back(++interp_.next_frame_);
+    }
+    ~Frame() {
+      interp_.frames_.pop_back();
+      if (interp_.frames_.empty()) interp_.block_origins_.clear();
+    }
+    Frame(const Frame&) = delete;
+    Frame& operator=(const Frame&) = delete;
+
+   private:
+    Interpreter& interp_;
+  };
+  /// Where a script block's text was last evaluated from: its node, the
+  /// source that node's extents index into, and the frame that pins both.
+  struct BlockOrigin {
+    const ScriptBlockAst* node = nullptr;
+    std::string_view source;
+    std::uint64_t frame = 0;
+  };
+  /// Script-block text -> origin. Invoking a block whose origin's frame is
+  /// still on the stack runs that node instead of parsing the text again.
+  std::unordered_map<std::string, BlockOrigin> block_origins_;
+  /// The origin of `text` when its frame is live, else null.
+  const BlockOrigin* live_origin(const std::string& text) const;
+
   struct Scope {
     std::map<std::string, Value> vars;
   };
@@ -265,9 +301,10 @@ class Interpreter {
   void exec_command(const CommandAst& cmd, std::string_view src,
                     std::vector<Value> input, std::vector<Value>& out);
   Value eval_binary(const BinaryExpressionAst& bin, std::string_view src);
-  Value eval_binary_values(const Value& lhs, const std::string& op, const Value& rhs);
+  Value eval_binary_values(const Value& lhs, Op op, bool case_sensitive,
+                           const Value& rhs);
   Value eval_unary(const UnaryExpressionAst& un, std::string_view src);
-  Value eval_unary_value(const std::string& op, const Value& v);
+  Value eval_unary_value(Op op, const Value& v);
   Value eval_index_values(const Value& target, const Value& index);
   Value eval_convert(const ConvertExpressionAst& conv, std::string_view src);
   Value eval_index(const IndexExpressionAst& idx, std::string_view src);
@@ -276,7 +313,10 @@ class Interpreter {
                            std::string_view src);
   Value eval_variable(const VariableExpressionAst& var);
   Value expand_string(const std::string& raw, std::string_view src);
-  Value cast_value(const std::string& type_name, const Value& v);
+  /// Casts `v` to the type whose normalize_type_name() form is `type_key`;
+  /// `type_name` is the type as written, for `[type]` and diagnostics.
+  Value cast_value(const std::string& type_key, const Value& v,
+                   std::string_view type_name);
 
   // Control flow.
   struct BreakSignal {};
@@ -325,7 +365,9 @@ bool is_switch_parameter(const std::string& lower);
 /// The composite-format engine behind the `-f` operator ({0}, {1,8}, {0:X2}).
 std::string format_operator(const std::string& fmt, const std::vector<Value>& args);
 
-/// PowerShell `-like` wildcard matching (`*`, `?`, `[a-z]`), case-insensitive.
-bool wildcard_match(std::string_view pattern, std::string_view text);
+/// PowerShell `-like` wildcard matching (`*`, `?`, `[a-z]`), ASCII case
+/// folded unless `case_sensitive` (`-clike`).
+bool wildcard_match(std::string_view pattern, std::string_view text,
+                    bool case_sensitive = false);
 
 }  // namespace ps

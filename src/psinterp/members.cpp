@@ -16,12 +16,6 @@ namespace ps {
 
 namespace {
 
-std::string normalize_type(std::string t) {
-  t = to_lower(t);
-  if (t.rfind("system.", 0) == 0) t = t.substr(7);
-  return t;
-}
-
 std::optional<TextEncoding> encoding_by_name(std::string_view name) {
   const std::string n = to_lower(name);
   if (n == "ascii") return TextEncoding::Ascii;
@@ -562,7 +556,7 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
 Value Interpreter::static_member(const std::string& type_name,
                                  const std::string& member) {
   charge_step();
-  const std::string t = normalize_type(type_name);
+  const std::string t = normalize_type_name(type_name);
   const std::string m = to_lower(member);
 
   if (t == "text.encoding" || t == "encoding") {
@@ -614,7 +608,7 @@ Value Interpreter::static_invoke(const std::string& type_name,
                                  const std::string& member,
                                  const std::vector<Value>& args) {
   charge_step();
-  const std::string t = normalize_type(type_name);
+  const std::string t = normalize_type_name(type_name);
   const std::string m = to_lower(member);
 
   if (t == "convert") {
@@ -920,7 +914,7 @@ Value Interpreter::static_invoke(const std::string& type_name,
 Value Interpreter::construct_object(const std::string& type_name,
                                     const std::vector<Value>& args) {
   charge_step();
-  const std::string t = normalize_type(type_name);
+  const std::string t = normalize_type_name(type_name);
 
   if (t == "net.webclient") {
     return Value(std::shared_ptr<PsObject>(std::make_shared<WebClientObject>()));
@@ -1007,7 +1001,7 @@ Value Interpreter::construct_object(const std::string& type_name,
     std::string name_;
   };
   std::string full = type_name;
-  if (normalize_type(full) == to_lower(full)) {
+  if (normalize_type_name(full) == to_lower(full)) {
     full = "System." + full;  // cosmetic: .NET-style display name
   }
   return Value(std::shared_ptr<PsObject>(std::make_shared<NamedObject>(full)));

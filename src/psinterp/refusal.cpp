@@ -123,7 +123,7 @@ std::optional<FailureKind> Interpreter::refuse_expr(const Ast& node,
                          path);
     case NodeKind::UnaryExpression: {
       const auto& un = static_cast<const UnaryExpressionAst&>(node);
-      if (un.op.rfind("++", 0) == 0 || un.op.rfind("--", 0) == 0) {
+      if (is_increment(un.id)) {
         // The variable is read directly, without a step of its own.
         return un.child->kind() == NodeKind::VariableExpression
                    ? refuse_variable(

@@ -12,6 +12,12 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+std::string normalize_type_name(std::string_view name) {
+  std::string t = to_lower(name);
+  if (t.rfind("system.", 0) == 0) t.erase(0, 7);
+  return t;
+}
+
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -45,4 +45,8 @@ std::string to_lower(std::string_view s);
 /// Case-insensitive ASCII string equality.
 bool iequals(std::string_view a, std::string_view b);
 
+/// Lowercases a type name and strips a leading `system.`: the form cast
+/// and static-member dispatch compare against (`[System.Char]` -> `char`).
+std::string normalize_type_name(std::string_view name);
+
 }  // namespace ps

@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "pslang/alias_table.h"
+#include "pslang/operators.h"
 
 namespace ps {
 
@@ -43,19 +44,7 @@ bool is_keyword(std::string_view word) {
 }
 
 bool is_named_operator(std::string_view word) {
-  static const std::array<std::string_view, 46> ops = {
-      "f",      "join",   "split",     "replace",  "creplace", "ireplace",
-      "eq",     "ne",     "gt",        "lt",       "ge",       "le",
-      "ceq",    "cne",    "ieq",       "ine",      "like",     "notlike",
-      "clike",  "ilike",  "match",     "notmatch", "cmatch",   "imatch",
-      "contains", "notcontains", "in", "notin",    "and",      "or",
-      "xor",    "not",    "band",      "bor",      "bxor",     "bnot",
-      "shl",    "shr",    "is",        "isnot",    "as",       "csplit",
-      "isplit", "cjoin",  "ijoin",     "ne"};
-  for (auto o : ops) {
-    if (iequals(o, word)) return true;
-  }
-  return false;
+  return find_named_operator(word) != nullptr;
 }
 
 namespace {
@@ -725,8 +714,9 @@ class Lexer {
         std::size_t save = pos_;
         advance();
         std::string word = read_word(is_word_char);
-        if (is_named_operator(word)) {
-          emit(TokenType::Operator, start, line, col, "-" + to_lower(word));
+        if (const OperatorInfo* named = find_named_operator(word)) {
+          emit(TokenType::Operator, start, line, col,
+               std::string(named->spelling));
           mode_ = Mode::Expression;
           after_operand_ = false;
           return;
@@ -1105,8 +1095,9 @@ class Lexer {
         int save_line = line_, save_col = col_;
         advance();
         std::string word = read_word(is_word_char);
-        if (is_named_operator(word)) {
-          emit(TokenType::Operator, start, line, col, "-" + to_lower(word));
+        if (const OperatorInfo* named = find_named_operator(word)) {
+          emit(TokenType::Operator, start, line, col,
+               std::string(named->spelling));
           after_operand_ = false;
           return;
         }

@@ -31,8 +31,10 @@ struct PsChar {
   friend bool operator==(const PsChar&, const PsChar&) = default;
 };
 
-/// A deferred script block value ({ ... }). Evaluation reparses `text`,
-/// which keeps the value model independent of the AST library.
+/// A deferred script block value ({ ... }). Invoking it parses `text`,
+/// which keeps the value model independent of the AST library, unless the
+/// interpreter is still running the tree the block was evaluated from: then
+/// it runs the block's node there.
 struct ScriptBlock {
   std::string text;  ///< body text, without the surrounding braces
   friend bool operator==(const ScriptBlock&, const ScriptBlock&) = default;

@@ -192,6 +192,11 @@ TEST(PiecePurityTest, AcceptsExpressionSubsetAndClassifiesPurity) {
       {"\"plain\"", true},           // no '$': interpolation is constant
       {"$true", true},               // constant automatic variable
       {"$PSHome + 'x'", true},       // constant automatics ignore case
+      {"'a' | ForEach-Object { $_ }", true},  // item block: `$_` is the item
+      {"'a','b' | % { $_ + 'x' } | ? { $_ -ne 'ax' }", true},
+      {"-join ('1|2' -split '\\|' | foreach { [char]([int]$_ + 64) })", true},
+      {"('ab' | where { $_ | % { $_ } })", true},  // nested item blocks
+      {"'a' | FOREACH-OBJECT { ($_) }", true},      // names ignore case
       {"\"pre $x post\"", false},    // interpolation reads a variable
       {"$x + 1", false},             // traced-table variable
       {"$env:path", false},          // environment state
@@ -220,8 +225,21 @@ TEST(PiecePurityTest, RejectsEverythingOutsideTheSubset) {
       "@{ a = 1 }",                  // hashtable
       "{ 'block' }",                 // script block
       "$(1; 2)",                     // multi-statement subexpression
-      "'a' | ForEach-Object { $_ }", // multi-element pipeline
       "('a' + (iex 'b'))",           // impure operand deep inside
+      "($_ -bxor 5)",                // `$_` outside an item block
+      "'a' | % { $x }",              // the block reads the table
+      "'a' | % { iex $_ }",          // a command inside the block
+      "'a' | % -Begin { 'b' } { $_ }",  // -Begin runs once, not per item
+      "'a' | % -Process { $_ }",     // any parameter
+      "'a' | % { $_ } | iex",        // a later element is no item block
+      "'a' | % { param($p) $p }",    // param block
+      "'a' | % { process { $_ } }",  // named block
+      "'a' | % { $_; $_ }",          // two statements
+      "'a' | % { $y = $_ }",         // assignment inside the block
+      "'a' | & % { $_ }",            // call operator
+      "'a' | Select-Object { $_ }",  // not an item command
+      "$x | % { $_ }",               // impure input
+      "'a' | % { $_ } | % { $_++ }", // mutation inside a later block
   };
   for (const char* text : rejected) {
     ps::ParsedScript parsed;
@@ -229,6 +247,26 @@ TEST(PiecePurityTest, RejectsEverythingOutsideTheSubset) {
     ASSERT_NE(stmt, nullptr) << text;
     EXPECT_FALSE(is_pure_piece(*stmt)) << text;
   }
+}
+
+TEST(PiecePurityTest, TracedFunctionShadowsItemBlocks) {
+  // A traced `function ForEach-Object` runs instead of the cmdlet under
+  // every spelling that resolves to it; Where-Object stays an item block.
+  const std::vector<std::string> traced = {"foreach-object"};
+  const char* shadowed[] = {"'a' | ForEach-Object { $_ }", "'a' | % { $_ }",
+                            "'a' | foreach { $_ }",
+                            "'a' | ? { $_ } | % { $_ }"};
+  for (const char* text : shadowed) {
+    ps::ParsedScript parsed;
+    const Ast* stmt = parse_piece(text, parsed);
+    ASSERT_NE(stmt, nullptr) << text;
+    EXPECT_TRUE(is_pure_piece(*stmt)) << text;
+    EXPECT_FALSE(is_pure_piece(*stmt, nullptr, traced)) << text;
+  }
+  ps::ParsedScript parsed;
+  const Ast* where = parse_piece("'a' | ? { $_ }", parsed);
+  ASSERT_NE(where, nullptr);
+  EXPECT_TRUE(is_pure_piece(*where, nullptr, traced));
 }
 
 // --- fold vs. seeded tree walk ---------------------------------------------
@@ -262,6 +300,17 @@ TEST(PieceFoldTest, HandwrittenPiecesMatchSeededTreeWalk) {
       "'end' -replace 'e','E'",
       "'format {0}' -f 'x'",
       "[int]'nope'",  // fails identically on both rungs
+      // Item blocks: `$_` is bound per item on either rung.
+      "'a','b' | ForEach-Object { $_ + 'x' }",
+      "-join ('1|2|3' -split '\\|' | % { [char]([int]$_ + 64) })",
+      "-join ('K%I%O' -split '%' | foreach { [char]([int][char]$_ -bxor 6) })",
+      "(1..6 | ? { $_ -gt 2 } | % { $_ * 2 })",
+      "('ab' | where { $_ | % { $_ } })",
+      "@('x','y' | % { $_ * 2 })",
+      "('A','b' | ? { $_ -cmatch '[a-z]' })",
+      "'abc' | % { $_ } | % { $_ + '!' }",
+      "@() | % { $_ }",
+      "'a' | % { [int]$_ }",  // fails identically on both rungs
   };
   FoldInterpreter fold;
   for (const char* text : pieces) {
@@ -312,6 +361,10 @@ TEST(PieceFoldTest, StepAccountingMatchesSeededTreeWalk) {
       "$( 'sub' )",
       "@('only')",
       "(2 + 3) * 4",
+      "'a','b' | % { $_ + 'x' }",
+      "-join ('1|2' -split '\\|' | % { [char]([int]$_ + 64) })",
+      "(1..4 | ? { $_ -gt 2 })",
+      "'ab' | % { $_ } | % { $_ + '!' }",
   };
   for (const char* text : pieces) {
     ps::ParsedScript parsed;
@@ -421,6 +474,64 @@ TEST(RecoveryMemoTest, CapBoundsGrowth) {
   // The pathological-script bound.
   EXPECT_LE(memo.size(), 8192u);
   EXPECT_GT(memo.size(), 0u);
+}
+
+TEST(ItemBlockFoldTest, DecodeLoopFoldsOnceBindsAndIsNeverWalked) {
+  // The BXOR decode shape. The split and the ForEach-Object loop over it
+  // are pure pieces: each folds once and binds its array, so the
+  // enclosing -join folds too, reading the loop's binding instead of
+  // running the loop again. The only tree-walk entries are the two pieces
+  // inside the block that read `$_` on their own, and both are refused
+  // without being walked.
+  const std::string script =
+      "$s = (-join ('105,72' -split ',' | ForEach-Object "
+      "{ [char]($_ -bxor 0x21) }))\n";
+  ideobf::RecoveryOptions options;
+  ideobf::RecoveryMemo memo;
+  options.memo = &memo;
+  ideobf::RecoveryStats stats;
+  const std::string out = ideobf::recovery_pass(script, options, &stats);
+  EXPECT_NE(out.find("'Hi'"), std::string::npos) << out;
+  EXPECT_EQ(stats.pieces_folded, 3);  // the split, the loop, the -join
+  EXPECT_EQ(stats.pieces_bound, 2);   // the split's and the loop's arrays
+  EXPECT_EQ(stats.treewalk_fallbacks, 2);
+  EXPECT_EQ(stats.pieces_refused, stats.treewalk_fallbacks);
+  EXPECT_EQ(stats.pieces_recovered, 1);
+
+  // Without binding the -join runs the loop again: it still folds, and
+  // the output is the same.
+  options.bind_values = false;
+  ideobf::RecoveryMemo fresh;
+  options.memo = &fresh;
+  ideobf::RecoveryStats unbound;
+  EXPECT_EQ(ideobf::recovery_pass(script, options, &unbound), out);
+  EXPECT_EQ(unbound.pieces_folded, 3);
+  EXPECT_EQ(unbound.pieces_bound, 0);
+}
+
+TEST(ItemBlockFoldTest, TracedFunctionDefinitionKeepsTheLoopOnTheTreeWalk) {
+  // With function tracing on, a pass that has loaded a user
+  // `function ForEach-Object` must run the user's function, which only
+  // the seeded tree-walk interpreter knows.
+  const std::string script =
+      "function ForEach-Object { 'shadow' }\n"
+      "$s = -join ('a' | ForEach-Object { $_ + 'b' })\n";
+  ideobf::RecoveryOptions options;
+  options.trace_functions = true;
+  ideobf::RecoveryStats stats;
+  const std::string traced = ideobf::recovery_pass(script, options, &stats);
+  EXPECT_NE(traced.find("$s = 'shadow'"), std::string::npos) << traced;
+  // The loop is walked; only the -join over its literal folds.
+  EXPECT_EQ(stats.treewalk_fallbacks - stats.pieces_refused, 1) << traced;
+  EXPECT_EQ(stats.pieces_folded, 1) << traced;
+
+  // Untraced, the definition is not loaded and the cmdlet runs: the loop
+  // is an item block again.
+  options.trace_functions = false;
+  const std::string untraced = ideobf::recovery_pass(script, options, &stats);
+  EXPECT_NE(untraced.find("$s = 'ab'"), std::string::npos) << untraced;
+  EXPECT_EQ(stats.treewalk_fallbacks - stats.pieces_refused, 0) << untraced;
+  EXPECT_EQ(stats.pieces_folded, 2) << untraced;
 }
 
 TEST(RecoveryMemoTest, LadderStatsSurfaceInTheReport) {
