@@ -1,6 +1,6 @@
 // End-to-end pipeline throughput benchmark for the parse-once pipeline and
 // the batch worker pool: single-script latency and parses-per-deobfuscation
-// with the parse cache off / on, plus deobfuscate_batch throughput
+// with the parse cache off / on, plus Engine::handle_batch throughput
 // across thread counts over a synthetic corpus (hundreds of scripts from
 // the seeded Fig-6 generator). `--json` writes BENCH_pipeline.json at the
 // repo root so the perf trajectory is tracked PR over PR; `--smoke` runs a
@@ -42,9 +42,9 @@
 #include <vector>
 
 #include "analysis/json_writer.h"
-#include "core/batch.h"
 #include "core/deobfuscator.h"
 #include "corpus/corpus.h"
+#include "ideobf/api.h"
 #include "ideobf/client.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
@@ -98,7 +98,7 @@ struct Row {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::int64_t failed = 0;     ///< batch items with ok == false
-  std::int64_t failures = 0;   ///< failed() plus degraded-but-served items
+  std::int64_t failures = 0;   ///< failed or degraded items with a failure kind
   std::int64_t degraded = 0;   ///< batch items served from a rung > 0
   std::int64_t max_rung = 0;   ///< worst degradation rung seen in the batch
 };
@@ -144,27 +144,37 @@ Row run_serial(const InvokeDeobfuscator& deobf,
   return row;
 }
 
-Row run_batch(const InvokeDeobfuscator& deobf,
-              const std::vector<std::string>& scripts, unsigned threads,
+std::vector<Request> requests_for(const std::vector<std::string>& scripts) {
+  std::vector<Request> requests(scripts.size());
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    requests[i].source = scripts[i];
+  }
+  return requests;
+}
+
+Row run_batch(const std::vector<std::string>& scripts, unsigned threads,
               bool warm, const Options::Limits& governor = {}) {
   Row row;
   row.config = "batch";
   row.threads = threads;
   row.warm = warm;
-  const auto parses0 = ps::parse_call_count();
   Options options;
   options.threads = threads;
   options.limits = governor;
-  BatchReport report;
+  const Engine engine(options);
+  const std::vector<Request> requests = requests_for(scripts);
+  const auto parses0 = ps::parse_call_count();
   const double t0 = now_seconds();
-  const auto out = deobfuscate_batch(deobf, scripts, report, options);
-  (void)out;
+  const std::vector<Response> out = engine.handle_batch(requests);
   row.seconds = now_seconds() - t0;
-  row.failed = report.failed();
-  row.failures = report.failures();
-  row.degraded = report.degraded();
-  for (const BatchItem& item : report.items) {
-    row.max_rung = std::max<std::int64_t>(row.max_rung, item.degradation_rung);
+  for (const Response& r : out) {
+    const int rung = r.report.degradation_rung;
+    if (!r.ok) ++row.failed;
+    if (rung > 0) ++row.degraded;
+    // Failed or degraded items carry their classification; a clean
+    // full-strength item counts as no failure whatever its pieces did.
+    if ((rung > 0 || !r.ok) && r.failure != FailureKind::None) ++row.failures;
+    row.max_rung = std::max<std::int64_t>(row.max_rung, rung);
   }
   row.parses = ps::parse_call_count() - parses0;
   row.ms_per_script = row.seconds * 1000.0 / scripts.size();
@@ -175,12 +185,11 @@ Row run_batch(const InvokeDeobfuscator& deobf,
 
 /// Best-of-n warm batch wall time: the smoke gate compares thread counts on
 /// a one-core-capable box, so each sample must shed scheduler noise.
-double best_warm_batch_seconds(const InvokeDeobfuscator& deobf,
-                               const std::vector<std::string>& scripts,
+double best_warm_batch_seconds(const std::vector<std::string>& scripts,
                                unsigned threads, int samples) {
   double best = 1e300;
   for (int i = 0; i < samples; ++i) {
-    best = std::min(best, run_batch(deobf, scripts, threads, true).seconds);
+    best = std::min(best, run_batch(scripts, threads, true).seconds);
   }
   return best;
 }
@@ -312,9 +321,10 @@ TelemetrySummary run_telemetry_section(
   tel::Telemetry::enable();
   Options options;
   options.threads = threads;
-  BatchReport report;
+  const Engine engine(options);
+  const std::vector<Request> requests = requests_for(scripts);
   const double t0 = now_seconds();
-  (void)deobfuscate_batch(deobf, scripts, report, options);
+  const std::vector<Response> responses = engine.handle_batch(requests);
   const double on_seconds = now_seconds() - t0;
   tel::Telemetry::disable();
 
@@ -359,10 +369,10 @@ TelemetrySummary run_telemetry_section(
   // breakdown then covers both regimes (cold parse/lex costs AND the warm
   // steady state), and the self-time partition identity still holds because
   // it holds per deobfuscate call.
-  ts.profile.merge(report.profile);
+  for (const Response& r : responses) ts.profile.merge(r.report.profile);
   ts.accounted_seconds = ts.profile.accounted_seconds();
   ts.pipeline_seconds = ts.profile.total_seconds(tel::Phase::Pipeline);
-  ts.batch_wall_seconds = report.wall_seconds;
+  ts.batch_wall_seconds = on_seconds;
 
   // Disabled again (gate 6): the subsystem must leave no residue when
   // switched off (spans stay one branch). Each pair brackets one
@@ -1379,10 +1389,9 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
 
   double warm_1t_seconds = 0.0;
   for (unsigned threads : thread_counts) {
-    const InvokeDeobfuscator batch_deobf;
-    rows.push_back(run_batch(batch_deobf, scripts, threads, false));
+    rows.push_back(run_batch(scripts, threads, false));
     rows.back().config = "batch_cold";
-    rows.push_back(run_batch(batch_deobf, scripts, threads, true));
+    rows.push_back(run_batch(scripts, threads, true));
     rows.back().config = "batch_warm";
     if (threads == 1) warm_1t_seconds = rows.back().seconds;
     if (warm_1t_seconds > 0.0) {
@@ -1402,10 +1411,9 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   // items expected — this row tracks the governor's overhead and proves the
   // ladder stays on rung 0 for well-behaved input.
   {
-    const InvokeDeobfuscator governed_deobf;
     Options::Limits governor;
     governor.deadline_seconds = 10.0;
-    rows.push_back(run_batch(governed_deobf, scripts, 4, false, governor));
+    rows.push_back(run_batch(scripts, 4, false, governor));
     rows.back().config = "batch_governed";
     std::printf(
         "governed batch: failed=%lld failures=%lld degraded=%lld max_rung=%lld\n",
@@ -1562,7 +1570,7 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
 
   // Acceptance gate 2: failure-counter consistency. The corpus is benign
   // and the governed deadline generous, so every batch row must report
-  // failed == failures == degraded == 0 (failures() counting benign
+  // failed == failures == degraded == 0 (failures counting benign
   // per-piece hiccups was a real reporting bug: rows once said
   // "failures: 8" next to "failed: 0").
   for (const Row& r : rows) {
@@ -1586,10 +1594,9 @@ int run(std::size_t corpus_size, unsigned max_threads, bool write_json,
   if (smoke && IDEOBF_SANITIZED) {
     std::printf("thread-scaling gate: skipped under sanitizers\n");
   } else if (smoke) {
-    const InvokeDeobfuscator scale_deobf;
-    (void)run_batch(scale_deobf, scripts, 4, false);  // prime the pool
-    const double s1 = best_warm_batch_seconds(scale_deobf, scripts, 1, 3);
-    const double s4 = best_warm_batch_seconds(scale_deobf, scripts, 4, 3);
+    (void)run_batch(scripts, 4, false);  // prime the pool
+    const double s1 = best_warm_batch_seconds(scripts, 1, 3);
+    const double s4 = best_warm_batch_seconds(scripts, 4, 3);
     std::printf("thread-scaling gate: warm 1t %.3fs vs 4t %.3fs (%.2fx)\n",
                 s1, s4, s1 / s4);
     if (s4 > s1 * 1.10) {

@@ -5,11 +5,11 @@
 ///
 /// This header is part of the stable `include/ideobf/` facade: it includes
 /// nothing but the standard library, and every consumer of the library —
-/// the one-shot CLI, `deobfuscate_batch`, `ideobf serve`, and the bench
+/// the one-shot CLI, `Engine::handle_batch`, `ideobf serve`, and the bench
 /// harness — classifies an aborted or degraded deobfuscation with exactly
 /// this enum. The engine-internal `ps::` names are aliases of these types
 /// (see psvalue/budget.h), so a failure is represented identically wherever
-/// it surfaces: DeobfuscationReport, BatchItem, the server's NDJSON
+/// it surfaces: DeobfuscationReport, Response, the server's NDJSON
 /// responses, and the Prometheus `ideobf_governor_failure_total` labels.
 
 #include <atomic>

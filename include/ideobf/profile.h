@@ -3,9 +3,9 @@
 /// \file ideobf/profile.h
 /// Public per-item phase breakdown: which pipeline stage the time went to.
 /// Part of the stable `include/ideobf/` facade (standard library includes
-/// only); `DeobfuscationReport::profile` and `BatchReport::profile` carry
-/// this struct, and the telemetry subsystem's span machinery (internal,
-/// src/telemetry/) fills it in.
+/// only); `DeobfuscationReport::profile` carries this struct on every
+/// `Response`, one-shot or batch, and the telemetry subsystem's span
+/// machinery (internal, src/telemetry/) fills it in.
 
 #include <cstddef>
 #include <cstdint>

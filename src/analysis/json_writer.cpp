@@ -1,52 +1,15 @@
 #include "analysis/json_writer.h"
 
 #include <charconv>
-#include <cstdio>
+
+#include "telemetry/log.h"
 
 namespace ideobf {
-
-namespace {
-
-/// Quote `s` straight into `out` without a temporary: clean runs are bulk
-/// appended, escapes spliced between them. Hot — every JSON key and string
-/// value in every serve reply goes through here.
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  std::size_t clean = 0;  // start of the pending run of unescaped bytes
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    const char* esc = nullptr;
-    char ubuf[8];
-    switch (c) {
-      case '"': esc = "\\\""; break;
-      case '\\': esc = "\\\\"; break;
-      case '\n': esc = "\\n"; break;
-      case '\r': esc = "\\r"; break;
-      case '\t': esc = "\\t"; break;
-      case '\b': esc = "\\b"; break;
-      case '\f': esc = "\\f"; break;
-      default:
-        if (c < 0x20) {
-          std::snprintf(ubuf, sizeof(ubuf), "\\u%04x", c);
-          esc = ubuf;
-        }
-    }
-    if (esc != nullptr) {
-      out.append(s, clean, i - clean);
-      out += esc;
-      clean = i + 1;
-    }
-  }
-  out.append(s, clean, s.size() - clean);
-  out += '"';
-}
-
-}  // namespace
 
 std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  append_quoted(out, s);
+  telemetry::append_json_quoted(out, s);
   return out;
 }
 
@@ -88,7 +51,7 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::key(std::string_view name) {
   comma();
-  append_quoted(out_, name);
+  telemetry::append_json_quoted(out_, name);
   out_ += ':';
   pending_key_ = true;
   return *this;
@@ -96,7 +59,7 @@ JsonWriter& JsonWriter::key(std::string_view name) {
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   comma();
-  append_quoted(out_, s);
+  telemetry::append_json_quoted(out_, s);
   return *this;
 }
 

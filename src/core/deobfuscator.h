@@ -46,7 +46,7 @@ class InvokeDeobfuscator {
   [[nodiscard]] std::string deobfuscate(std::string_view script) const;
   [[nodiscard]] std::string deobfuscate(std::string_view script,
                                         DeobfuscationReport& report) const;
-  /// Per-call envelope override (how deobfuscate_batch and the server give
+  /// Per-call envelope override (how Engine::handle_batch and the server give
   /// every item its own deadline and cancellation token). Only the
   /// *envelope* fields of `limits` apply per call — deadline_seconds,
   /// memory_budget_bytes, degrade, cancel; the per-piece caps (max_layers,

@@ -91,6 +91,9 @@ std::string Interpreter::simulated_download(const std::string& url) {
 Value Interpreter::instance_member(const Value& target, const std::string& member) {
   charge_step();
   const std::string m = to_lower(member);
+  if (target.is_null() && (m == "count" || m == "length")) {
+    return Value(0);  // $null.Count: PowerShell counts nothing
+  }
   if (target.is_string()) {
     const std::string& s = target.get_string();
     if (m == "length") return Value(static_cast<std::int64_t>(utf8_length(s)));

@@ -23,7 +23,7 @@ namespace ps {
 
 // The failure taxonomy and the cancellation primitive are part of the
 // public API facade (include/ideobf/failure.h) — the server's wire schema,
-// BatchItem, DeobfuscationReport and the CLI/bench JSON all speak it. The
+// Response, DeobfuscationReport and the CLI/bench JSON all speak it. The
 // engine keeps its historical ps:: spellings as aliases of the one
 // definition, so a failure is the same type wherever it surfaces.
 using ideobf::FailureKind;

@@ -3,7 +3,7 @@
 /// \file worker_pool.h
 /// Process-lifetime work-stealing thread pool.
 ///
-/// deobfuscate_batch used to spawn a fresh set of jthreads per call; under
+/// The batch path used to spawn a fresh set of jthreads per call; under
 /// a server-style workload (many small batches) thread creation and the
 /// cold per-thread allocator caches dominated. This pool keeps its threads
 /// for the process lifetime, so per-thread state — the arena chunk
@@ -43,7 +43,7 @@ class WorkerPool {
   /// most `max_workers` concurrent executors (the calling thread counts as
   /// one and always participates when it wins a slot). Blocks until every
   /// item has been executed. `body` must not throw — wrap fallible work in
-  /// its own try/catch (deobfuscate_batch seals its items).
+  /// its own try/catch (Engine::handle_batch seals its items).
   void parallel(std::size_t item_count, unsigned max_workers,
                 const std::function<void(std::size_t, unsigned)>& body);
 

@@ -4,6 +4,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -128,7 +129,20 @@ std::uint64_t FlightRecorder::begin(Record record) {
   record.seq = next_seq_++;
   record.outcome = "inflight";
   record.unix_seconds = static_cast<std::uint64_t>(::time(nullptr));
-  const std::size_t slot = static_cast<std::size_t>(record.seq) % kSlots;
+  // The first slot from the cursor on whose record is not in flight: a
+  // request's record stays until it finishes, however many dispatches
+  // overtake it — a hung hostile script is what a postmortem harvest must
+  // name. At most `threads` records are in flight, fewer than kSlots; were
+  // every slot in flight, the cursor's slot would be reused.
+  std::size_t slot = cursor_;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::size_t candidate = (cursor_ + i) % kSlots;
+    if (ring_[candidate].outcome != "inflight") {
+      slot = candidate;
+      break;
+    }
+  }
+  cursor_ = (slot + 1) % kSlots;
   ring_[slot] = std::move(record);
   mirror(slot, ring_[slot]);
   return ring_[slot].seq;
@@ -138,9 +152,10 @@ void FlightRecorder::finish(std::uint64_t seq, std::string_view outcome,
                             double engine_seconds, double total_seconds,
                             const telemetry::PipelineProfile& profile) {
   std::lock_guard lk(mu_);
-  const std::size_t slot = static_cast<std::size_t>(seq) % kSlots;
-  Record& record = ring_[slot];
-  if (record.seq != seq) return;  // evicted by ring wraparound
+  const auto it = std::find_if(ring_.begin(), ring_.end(),
+                               [&](const Record& r) { return r.seq == seq; });
+  if (it == ring_.end()) return;  // overwritten: every slot was in flight
+  Record& record = *it;
   record.outcome = std::string(outcome);
   record.engine_seconds = engine_seconds;
   record.total_seconds = total_seconds;
@@ -152,21 +167,21 @@ void FlightRecorder::finish(std::uint64_t seq, std::string_view outcome,
     record.phases.emplace_back(telemetry::phase_name(phase),
                                static_cast<double>(stat.self_ns) / 1e9);
   }
-  mirror(slot, record);
+  mirror(static_cast<std::size_t>(it - ring_.begin()), record);
 }
 
 std::string FlightRecorder::dump_json() const {
   std::lock_guard lk(mu_);
+  std::vector<const Record*> used;
+  for (const Record& record : ring_) {
+    if (record.seq != 0) used.push_back(&record);
+  }
+  std::sort(used.begin(), used.end(),
+            [](const Record* a, const Record* b) { return a->seq > b->seq; });
   std::string out;
-  bool first = true;
-  // Newest first: walk seq backwards until the ring runs out of history.
-  for (std::uint64_t seq = next_seq_; seq-- > 1;) {
-    if (next_seq_ - seq > kSlots) break;
-    const Record& record = ring_[static_cast<std::size_t>(seq) % kSlots];
-    if (record.seq != seq) continue;
-    if (!first) out += ',';
-    first = false;
-    out += render_record(record);
+  for (const Record* record : used) {  // newest first
+    if (!out.empty()) out += ',';
+    out += render_record(*record);
   }
   return out;
 }

@@ -62,13 +62,14 @@ class FlightRecorder {
   /// opened; the in-memory ring works either way.
   bool open_mirror(const std::string& path, std::string& error);
 
-  /// Records a dispatch (outcome "inflight"); returns the sequence number to
-  /// pass to finish(). Thread-safe (worker slots call this concurrently).
+  /// Records a dispatch (outcome "inflight") in the next slot whose record
+  /// is not itself in flight; returns the sequence number to pass to
+  /// finish(). Thread-safe (worker slots call this concurrently).
   std::uint64_t begin(Record record);
 
   /// Completes the record `seq`: outcome, timings, and the phase self-time
-  /// breakdown from the served response's profile. A record already evicted
-  /// by ring wraparound is ignored.
+  /// breakdown from the served response's profile. A record no longer in
+  /// the ring is ignored.
   void finish(std::uint64_t seq, std::string_view outcome,
               double engine_seconds, double total_seconds,
               const telemetry::PipelineProfile& profile);
@@ -87,6 +88,7 @@ class FlightRecorder {
   mutable std::mutex mu_;
   std::array<Record, kSlots> ring_{};
   std::uint64_t next_seq_ = 1;
+  std::size_t cursor_ = 0;  ///< where begin() starts looking for a slot
   int fd_ = -1;
 };
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -191,14 +192,22 @@ struct Supervisor::Impl {
     for (std::string& a : argv_s) argv.push_back(a.data());
     argv.push_back(nullptr);
 
+    const pid_t supervisor_pid = ::getpid();
     pid_t pid = ::fork();
     if (pid < 0) {
       throw std::runtime_error(std::string("fork failed: ") +
                                std::strerror(errno));
     }
     if (pid == 0) {
-      // Child: the inherited listener fds ride through exec (no CLOEXEC on
-      // listener sockets); exec resets signal dispositions.
+      // Child: a worker never outlives its supervisor. The death signal
+      // fires when the forking *thread* exits, and spawn() runs on the
+      // thread that runs start() and run() to the end. The getppid() check
+      // closes the race with a supervisor that died before prctl.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != supervisor_pid) ::_exit(127);
+      // The inherited listener fds ride through exec (no CLOEXEC on
+      // listener sockets); exec resets signal dispositions but keeps the
+      // death signal.
       ::execv(argv[0], argv.data());
       // Only reached on exec failure; _exit keeps the child from running
       // the parent's atexit/static-destructor machinery.

@@ -93,7 +93,9 @@ class Supervisor {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Binds listeners, prepares state_dir, spawns the initial fleet. Throws
-  /// std::runtime_error on setup failure.
+  /// std::runtime_error on setup failure. Call start() and run() on one
+  /// thread that lives as long as the fleet: each worker is killed when the
+  /// thread that forked it exits.
   void start();
 
   /// Supervises until a stop is requested (signal or request_stop());

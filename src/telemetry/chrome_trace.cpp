@@ -4,30 +4,11 @@
 #include <cstdio>
 #include <limits>
 
+#include "telemetry/log.h"
+
 namespace ideobf::telemetry {
 
 namespace {
-
-/// Minimal JSON string escape (details are identifiers, but be safe).
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
 
 void append_microseconds(std::string& out, std::uint64_t ns) {
   // Chrome trace timestamps are microseconds; keep nanosecond precision
@@ -107,16 +88,16 @@ std::string TraceRecorder::render() const {
     comma();
     out += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
     out += std::to_string(lane + 1);
-    out += ",\"cat\":\"pipeline\",\"name\":\"";
-    append_json_escaped(out, phase_name(e.phase));
-    out += "\",\"ts\":";
+    out += ",\"cat\":\"pipeline\",\"name\":";
+    append_json_quoted(out, phase_name(e.phase));
+    out += ",\"ts\":";
     append_microseconds(out, e.start_ns - epoch);
     out += ",\"dur\":";
     append_microseconds(out, e.dur_ns);
     if (!e.detail.empty()) {
-      out += ",\"args\":{\"detail\":\"";
-      append_json_escaped(out, e.detail);
-      out += "\"}";
+      out += ",\"args\":{\"detail\":";
+      append_json_quoted(out, e.detail);
+      out += '}';
     }
     out += '}';
   }

@@ -40,7 +40,7 @@ class TraceRecorder {
   explicit TraceRecorder(std::size_t max_events = kDefaultMaxEvents);
 
   /// Appends one closed span to the calling thread's lane (its metric
-  /// shard, i.e. its WorkerPool slot under deobfuscate_batch). Drops and
+  /// shard, i.e. its WorkerPool slot under Engine::handle_batch). Drops and
   /// counts once the cap is reached.
   void record(Phase phase, std::string_view detail, std::uint64_t start_ns,
               std::uint64_t dur_ns);

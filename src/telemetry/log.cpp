@@ -134,25 +134,32 @@ std::uint64_t log_dropped_count() {
 
 void append_json_quoted(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : text) {
+  std::size_t clean = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    const char* esc = nullptr;
+    char ubuf[8];
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': esc = "\\\""; break;
+      case '\\': esc = "\\\\"; break;
+      case '\n': esc = "\\n"; break;
+      case '\r': esc = "\\r"; break;
+      case '\t': esc = "\\t"; break;
+      case '\b': esc = "\\b"; break;
+      case '\f': esc = "\\f"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
+        if (c < 0x20) {
+          std::snprintf(ubuf, sizeof(ubuf), "\\u%04x", c);
+          esc = ubuf;
         }
-        break;
+    }
+    if (esc != nullptr) {
+      out.append(text, clean, i - clean);
+      out += esc;
+      clean = i + 1;
     }
   }
+  out.append(text, clean, text.size() - clean);
   out += '"';
 }
 

@@ -83,8 +83,11 @@ class LogEvent {
   std::string line_;
 };
 
-/// Appends `"key":"escaped"` JSON-quoting helper shared with the snapshot
-/// and flight-recorder writers (control chars, quote, backslash).
+/// Appends `text` as a quoted JSON string: the one JSON string-quoting
+/// routine, shared by this log, the Chrome trace, the snapshot and
+/// flight-recorder writers and analysis/json_writer.h (every serve reply).
+/// Clean runs are appended in bulk with escapes spliced between them;
+/// control characters use the short escapes where JSON has them.
 void append_json_quoted(std::string& out, std::string_view text);
 
 }  // namespace ideobf::telemetry

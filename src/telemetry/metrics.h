@@ -11,7 +11,7 @@
 ///     the cold branch; no clock is read, no cell is touched.
 ///  2. Enabled recording must never contend. Each metric owns one
 ///     cache-line-padded cell per shard; a thread writes only its own shard
-///     (bound to its WorkerPool slot by deobfuscate_batch, or assigned
+///     (bound to its WorkerPool slot by Engine::handle_batch, or assigned
 ///     round-robin on first use) with relaxed atomics. Readers sum the
 ///     shards, so reads are racy-but-monotonic snapshots — exactly what an
 ///     exposition endpoint wants.
@@ -32,7 +32,7 @@
 
 namespace ideobf::telemetry {
 
-/// Number of metric shards. deobfuscate_batch binds each pool slot to shard
+/// Number of metric shards. Engine::handle_batch binds each pool slot to shard
 /// `slot % kShardCount`; unbound threads are assigned round-robin.
 inline constexpr unsigned kShardCount = 16;
 

@@ -7,8 +7,8 @@
 /// per-phase histogram of the process-wide registry, (b) a lane event into
 /// the attached `TraceRecorder` (Chrome trace_event exporter), and (c) a
 /// per-phase self/total time into the thread's bound `PipelineProfile` —
-/// the per-item breakdown carried on `DeobfuscationReport` and aggregated
-/// into `BatchReport`.
+/// the per-item breakdown carried on `DeobfuscationReport` (and so on each
+/// batch item's `Response`).
 ///
 /// Spans nest: each thread keeps a span stack, and a span's *self* time is
 /// its wall time minus the wall time of the spans nested inside it. Summing

@@ -1,15 +1,31 @@
-// Tests for the thread-parallel batch API and the member-assignment /
-// WebClient-property additions behind realistic downloader prologues.
+// Tests for Engine::handle_batch on the worker pool and the member-assignment
+// / WebClient-property additions behind realistic downloader prologues.
 
 #include <gtest/gtest.h>
 
-#include "core/batch.h"
+#include "core/deobfuscator.h"
 #include "corpus/corpus.h"
+#include "ideobf/api.h"
 #include "psinterp/interpreter.h"
 #include "sandbox/sandbox.h"
 
 namespace ideobf {
 namespace {
+
+std::vector<Request> requests_for(const std::vector<std::string>& scripts) {
+  std::vector<Request> requests(scripts.size());
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    requests[i].source = scripts[i];
+  }
+  return requests;
+}
+
+std::vector<Response> run_batch(const std::vector<std::string>& scripts,
+                                unsigned threads) {
+  Options options;
+  options.threads = threads;
+  return Engine(options).handle_batch(requests_for(scripts));
+}
 
 TEST(Batch, MatchesSerialResults) {
   CorpusGenerator gen(7);
@@ -17,37 +33,33 @@ TEST(Batch, MatchesSerialResults) {
   for (const Sample& s : gen.generate_batch(24)) {
     scripts.push_back(s.obfuscated);
   }
-  InvokeDeobfuscator deobf;
 
-  const auto serial = deobfuscate_batch(deobf, scripts, 1);
-  const auto parallel = deobfuscate_batch(deobf, scripts, 4);
+  const auto serial = run_batch(scripts, 1);
+  const auto parallel = run_batch(scripts, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "sample " << i;
+    EXPECT_EQ(serial[i].result, parallel[i].result) << "sample " << i;
   }
 }
 
 TEST(Batch, PreservesOrderAndTotality) {
-  InvokeDeobfuscator deobf;
   const std::vector<std::string> scripts = {
       "iex 'Write-Host zero'",
       "broken ( input",  // invalid: must come back unchanged
       "iex 'Write-Host two'",
   };
-  const auto out = deobfuscate_batch(deobf, scripts, 3);
+  const auto out = run_batch(scripts, 3);
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_NE(out[0].find("zero"), std::string::npos);
-  EXPECT_EQ(out[1], scripts[1]);
-  EXPECT_NE(out[2].find("two"), std::string::npos);
+  EXPECT_NE(out[0].result.find("zero"), std::string::npos);
+  EXPECT_EQ(out[1].result, scripts[1]);
+  EXPECT_NE(out[2].result.find("two"), std::string::npos);
 }
 
 TEST(Batch, EmptyInput) {
-  InvokeDeobfuscator deobf;
-  EXPECT_TRUE(deobfuscate_batch(deobf, {}, 0).empty());
+  EXPECT_TRUE(Engine{}.handle_batch({}).empty());
 }
 
 TEST(Batch, ReportRecordsPerItemOutcomes) {
-  InvokeDeobfuscator deobf;
   // A pathological script: deeply nested unbalanced groups that stress the
   // parser's error path, plus normal and no-op items around it.
   std::string pathological;
@@ -59,31 +71,18 @@ TEST(Batch, ReportRecordsPerItemOutcomes) {
       "Write-Host plain",
   };
 
-  BatchReport report;
-  const auto out = deobfuscate_batch(deobf, scripts, report, 2);
+  const auto out = run_batch(scripts, 2);
   ASSERT_EQ(out.size(), 3u);
-  ASSERT_EQ(report.items.size(), 3u);
 
   // Totality: even the pathological item produced a result (unchanged), and
   // every item carries a verdict plus a wall time.
-  EXPECT_EQ(out[1], pathological);
-  for (const BatchItem& item : report.items) {
-    EXPECT_TRUE(item.ok) << item.error;
+  EXPECT_EQ(out[1].result, pathological);
+  for (const Response& item : out) {
+    EXPECT_TRUE(item.ok) << item.failure_detail;
     EXPECT_GE(item.seconds, 0.0);
   }
-  EXPECT_TRUE(report.items[0].changed);
-  EXPECT_FALSE(report.items[1].changed);
-  EXPECT_EQ(report.failed(), 0);
-  EXPECT_GE(report.changed(), 1);
-  EXPECT_GE(report.wall_seconds, 0.0);
-}
-
-TEST(Batch, OldSignatureDelegatesToReportOverload) {
-  InvokeDeobfuscator deobf;
-  const std::vector<std::string> scripts = {"iex 'Write-Host beta'"};
-  BatchReport report;
-  EXPECT_EQ(deobfuscate_batch(deobf, scripts, 2),
-            deobfuscate_batch(deobf, scripts, report, 2));
+  EXPECT_NE(out[0].result, scripts[0]);
+  EXPECT_EQ(out[1].result, scripts[1]);
 }
 
 TEST(MemberAssign, ServicePointManagerPrologue) {

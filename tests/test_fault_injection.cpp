@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batch.h"
 #include "core/deobfuscator.h"
 #include "core/fault.h"
+#include "ideobf/api.h"
 #include "sandbox/sandbox.h"
 
 namespace {
@@ -209,16 +209,16 @@ TEST(NonStd, UngovernedBatchWorkerSurvivesNonStdThrow) {
   fi.arm(FaultSite::Parse, spec);
   Options opts;
   opts.fault_injector = &fi;
-  const InvokeDeobfuscator deobf(opts);
-  const std::vector<std::string> scripts(4, kBenign);
-  BatchReport report;
-  const auto out = deobfuscate_batch(deobf, scripts, report, 2u);
-  ASSERT_EQ(out.size(), scripts.size());
-  for (std::size_t i = 0; i < scripts.size(); ++i) {
-    EXPECT_FALSE(report.items[i].ok);
-    EXPECT_EQ(report.items[i].failure, ps::FailureKind::Internal);
-    EXPECT_EQ(report.items[i].error, "non-standard exception");
-    EXPECT_EQ(out[i], scripts[i]);
+  opts.threads = 2;
+  std::vector<Request> requests(4);
+  for (Request& request : requests) request.source = kBenign;
+  const auto out = Engine(opts).handle_batch(requests);
+  ASSERT_EQ(out.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_FALSE(out[i].ok);
+    EXPECT_EQ(out[i].failure, ps::FailureKind::Internal);
+    EXPECT_EQ(out[i].failure_detail, "non-standard exception");
+    EXPECT_EQ(out[i].result, requests[i].source);
   }
 }
 

@@ -527,15 +527,63 @@ std::int64_t status_int(const std::string& json, const std::string& key) {
   return static_cast<std::int64_t>(field->as_double(-1));
 }
 
+/// Every worker pid listed in fleet.json.
+std::vector<pid_t> status_pids(const std::string& json) {
+  std::vector<pid_t> pids;
+  auto value = ideobf::server::parse_json(json);
+  const auto* workers = value ? value->find("workers") : nullptr;
+  const auto* arr = workers == nullptr ? nullptr : workers->as_array();
+  if (arr == nullptr) return pids;
+  for (const auto& worker : *arr) {
+    const auto* pid = worker.find("pid");
+    if (pid != nullptr && pid->as_double(-1) > 0) {
+      pids.push_back(static_cast<pid_t>(pid->as_double(-1)));
+    }
+  }
+  return pids;
+}
+
 /// First worker pid listed in fleet.json.
 pid_t status_first_pid(const std::string& json) {
-  auto value = ideobf::server::parse_json(json);
-  if (!value) return -1;
-  const auto* workers = value->find("workers");
-  const auto* arr = workers == nullptr ? nullptr : workers->as_array();
-  if (arr == nullptr || arr->empty()) return -1;
-  const auto* pid = arr->front().find("pid");
-  return pid == nullptr ? -1 : static_cast<pid_t>(pid->as_double(-1));
+  const std::vector<pid_t> pids = status_pids(json);
+  return pids.empty() ? -1 : pids.front();
+}
+
+/// Whether `pid` names a process that has not exited (a zombie waiting for
+/// its reaper counts as exited).
+bool process_running(pid_t pid) {
+  const std::string stat = read_file("/proc/" + std::to_string(pid) + "/stat");
+  const std::size_t paren = stat.rfind(')');
+  if (paren == std::string::npos || paren + 2 >= stat.size()) return false;
+  const char state = stat[paren + 2];
+  return state != 'Z' && state != 'X';
+}
+
+TEST(SupervisorFleet, WorkersDieWithTheirSupervisor) {
+  FleetProcess fleet({}, /*workers=*/2);
+  ASSERT_GE(fleet.pid, 0);
+  ASSERT_TRUE(fleet.wait_ready());
+  std::vector<pid_t> workers;
+  for (int i = 0; i < 400 && workers.size() < 2; ++i) {
+    workers = status_pids(fleet.status_json());
+    if (workers.size() < 2) ::usleep(25 * 1000);
+  }
+  ASSERT_EQ(workers.size(), 2u);
+
+  // No drain, no signal forwarding: the supervisor just vanishes.
+  ASSERT_EQ(::kill(fleet.pid, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(fleet.pid, nullptr, 0), fleet.pid);
+  fleet.pid = -1;
+
+  for (const pid_t worker : workers) {
+    bool running = true;
+    for (int i = 0; i < 200 && running; ++i) {
+      running = process_running(worker);
+      if (running) ::usleep(25 * 1000);
+    }
+    EXPECT_FALSE(running) << "worker " << worker << " outlived its supervisor";
+    if (running) ::kill(worker, SIGKILL);  // leave nothing behind
+  }
 }
 
 TEST(SupervisorFleet, CrashContainedAndRepeatKillerQuarantined) {

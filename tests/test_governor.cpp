@@ -9,8 +9,8 @@
 #include <chrono>
 #include <thread>
 
-#include "core/batch.h"
 #include "core/deobfuscator.h"
+#include "ideobf/api.h"
 #include "psinterp/interpreter.h"
 #include "psvalue/budget.h"
 
@@ -268,73 +268,83 @@ TEST(Governor, MidRunCancellationAborts) {
 
 // --- the batch under hostile load ----------------------------------------
 
-TEST(GovernedBatch, HostileCorpusClassifiedServedAndBounded) {
-  Options opts;
-  opts.limits.max_steps_per_piece = std::size_t{1} << 40;
-  const InvokeDeobfuscator deobf(opts);
+std::vector<Request> requests_for(const std::vector<std::string>& scripts) {
+  std::vector<Request> requests(scripts.size());
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    requests[i].source = scripts[i];
+  }
+  return requests;
+}
 
-  const std::vector<std::string> scripts = {
-      kBenign, kInfiniteLoop, kMemoryBomb, kDeepRecursion, kBenign,
-  };
+/// A response's failure counted the way batch summaries count it: non-None
+/// only when the item failed or was served degraded. A full-strength
+/// success is clean even when some piece could not be recovered.
+FailureKind item_failure(const Response& r) {
+  return r.report.degradation_rung > 0 || !r.ok ? r.failure
+                                                : FailureKind::None;
+}
+
+TEST(GovernedBatch, HostileCorpusClassifiedServedAndBounded) {
   Options options;
+  options.limits.max_steps_per_piece = std::size_t{1} << 40;
   options.threads = 2;
   options.limits.deadline_seconds = 0.3;
   options.limits.memory_budget_bytes = 4u << 20;
-  BatchReport report;
-  const auto out = deobfuscate_batch(deobf, scripts, report, options);
+  const std::vector<std::string> scripts = {
+      kBenign, kInfiniteLoop, kMemoryBomb, kDeepRecursion, kBenign,
+  };
+  const auto out = Engine(options).handle_batch(requests_for(scripts));
 
   ASSERT_EQ(out.size(), scripts.size());
-  ASSERT_EQ(report.items.size(), scripts.size());
 
-  EXPECT_TRUE(report.items[0].ok);
-  EXPECT_EQ(report.items[0].failure, ps::FailureKind::None);
-  EXPECT_EQ(report.items[0].degradation_rung, 0);
+  EXPECT_TRUE(out[0].ok);
+  EXPECT_EQ(item_failure(out[0]), ps::FailureKind::None);
+  EXPECT_EQ(out[0].report.degradation_rung, 0);
 
-  EXPECT_EQ(report.items[1].failure, ps::FailureKind::Timeout);
-  EXPECT_GE(report.items[1].degradation_rung, 1);
+  EXPECT_EQ(item_failure(out[1]), ps::FailureKind::Timeout);
+  EXPECT_GE(out[1].report.degradation_rung, 1);
 
-  EXPECT_EQ(report.items[2].failure, ps::FailureKind::MemoryBudget);
-  EXPECT_GE(report.items[2].degradation_rung, 1);
+  EXPECT_EQ(item_failure(out[2]), ps::FailureKind::MemoryBudget);
+  EXPECT_GE(out[2].report.degradation_rung, 1);
 
   // The deep-recursion sample is served (unrecoverable pieces stay as-is,
   // which is not an item failure), with the per-piece classification kept
   // as diagnostic detail.
-  EXPECT_TRUE(report.items[3].ok);
-  EXPECT_EQ(report.items[3].worst_piece_failure, ps::FailureKind::DepthLimit);
+  EXPECT_TRUE(out[3].ok);
+  EXPECT_EQ(out[3].report.recovery.worst_failure, ps::FailureKind::DepthLimit);
 
-  EXPECT_TRUE(report.items[4].ok);
-  EXPECT_EQ(out[4], out[0]);  // workers share nothing item-visible
+  EXPECT_TRUE(out[4].ok);
+  EXPECT_EQ(out[4].result, out[0].result);  // workers share nothing item-visible
 
   // No item may blow materially past the ladder's 1.75x-deadline envelope.
-  for (const BatchItem& item : report.items) {
+  int failures = 0;
+  int degraded = 0;
+  int failed_or_degraded = 0;
+  for (const Response& item : out) {
     EXPECT_LT(item.seconds, options.limits.deadline_seconds * 3.0 + 1.0);
+    if (item_failure(item) != ps::FailureKind::None) ++failures;
+    if (item.report.degradation_rung > 0) ++degraded;
+    if (!item.ok || item.report.degradation_rung > 0) ++failed_or_degraded;
   }
-  EXPECT_GE(report.failures(), 2);
-  EXPECT_GE(report.degraded(), 2);
-  // failures() is exactly failed() plus degraded-but-served items.
-  int expected = 0;
-  for (const BatchItem& item : report.items) {
-    if (!item.ok || item.degradation_rung > 0) ++expected;
-  }
-  EXPECT_EQ(report.failures(), expected);
+  EXPECT_GE(failures, 2);
+  EXPECT_GE(degraded, 2);
+  // The failures are exactly the failed plus the degraded-but-served items.
+  EXPECT_EQ(failures, failed_or_degraded);
 }
 
 TEST(GovernedBatch, BatchWideCancellationDrainsQueue) {
-  Options opts;
-  opts.limits.max_steps_per_piece = std::size_t{1} << 40;
-  const InvokeDeobfuscator deobf(opts);
-  const std::vector<std::string> scripts(8, kInfiniteLoop);
   Options options;
+  options.limits.max_steps_per_piece = std::size_t{1} << 40;
   options.threads = 2;
   options.limits.deadline_seconds = 30.0;
   options.limits.cancel = ps::CancellationToken::make();
+  const std::vector<std::string> scripts(8, kInfiniteLoop);
   std::thread canceller([cancel = options.limits.cancel]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     cancel.request_cancel();
   });
-  BatchReport report;
   const auto start = std::chrono::steady_clock::now();
-  const auto out = deobfuscate_batch(deobf, scripts, report, options);
+  const auto out = Engine(options).handle_batch(requests_for(scripts));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -342,24 +352,43 @@ TEST(GovernedBatch, BatchWideCancellationDrainsQueue) {
   ASSERT_EQ(out.size(), scripts.size());
   EXPECT_LT(elapsed, 15.0);
   for (std::size_t i = 0; i < scripts.size(); ++i) {
-    EXPECT_EQ(out[i], scripts[i]);
-    EXPECT_EQ(report.items[i].failure, ps::FailureKind::Cancelled) << i;
+    EXPECT_EQ(out[i].result, scripts[i]);
+    EXPECT_EQ(item_failure(out[i]), ps::FailureKind::Cancelled) << i;
   }
 }
 
 TEST(GovernedBatch, UngovernedBatchMatchesGovernedOnBenignCorpus) {
-  const InvokeDeobfuscator deobf;
-  const std::vector<std::string> scripts(4, kBenign);
-  BatchReport plain_report;
-  const auto plain = deobfuscate_batch(deobf, scripts, plain_report, 2u);
+  const std::vector<Request> requests =
+      requests_for(std::vector<std::string>(4, kBenign));
   Options options;
   options.threads = 2;
+  const auto plain = Engine(options).handle_batch(requests);
   options.limits.deadline_seconds = 30.0;
-  BatchReport governed_report;
-  const auto governed = deobfuscate_batch(deobf, scripts, governed_report, options);
-  EXPECT_EQ(plain, governed);
-  EXPECT_EQ(governed_report.failures(), 0);
-  EXPECT_EQ(governed_report.degraded(), 0);
+  const auto governed = Engine(options).handle_batch(requests);
+  ASSERT_EQ(plain.size(), governed.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].result, governed[i].result);
+    EXPECT_EQ(item_failure(governed[i]), ps::FailureKind::None);
+    EXPECT_EQ(governed[i].report.degradation_rung, 0);
+  }
+}
+
+TEST(GovernedBatch, ReturnsWhenItsItemsAreDoneNotAtTheWatchdogsNextPoll) {
+  // With a 10 s deadline the watchdog polls every 50 ms; twenty one-item
+  // batches that each waited out a poll would take a second.
+  Options options;
+  options.threads = 1;
+  options.limits.deadline_seconds = 10.0;
+  const Engine engine(options);
+  const std::vector<Request> requests = requests_for({"Write-Output 'x'"});
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(engine.handle_batch(requests).front().ok);
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed, 0.5);
 }
 
 TEST(FailureTaxonomy, NamesAndSeverityOrder) {
@@ -415,8 +444,7 @@ TEST(FailureTaxonomy, CancellationHasOneCanonicalDetail) {
 
   // Batch-wide cancellation (the watchdog propagates external cancels onto
   // each item's token) records the same string per item.
-  const std::vector<std::string> scripts(4, kInfiniteLoop);
-  Options options;
+  Options options = opts;
   options.threads = 2;
   options.limits.deadline_seconds = 30.0;
   options.limits.cancel = ps::CancellationToken::make();
@@ -424,13 +452,13 @@ TEST(FailureTaxonomy, CancellationHasOneCanonicalDetail) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     cancel.request_cancel();
   });
-  BatchReport batch_report;
-  deobfuscate_batch(deobf, scripts, batch_report, options);
+  const auto out = Engine(options).handle_batch(
+      requests_for(std::vector<std::string>(4, kInfiniteLoop)));
   batch_canceller.join();
-  ASSERT_EQ(batch_report.items.size(), scripts.size());
-  for (const BatchItem& item : batch_report.items) {
+  ASSERT_EQ(out.size(), 4u);
+  for (const Response& item : out) {
     EXPECT_EQ(item.failure, ps::FailureKind::Cancelled);
-    EXPECT_EQ(item.error, std::string(ideobf::kCancelledDetail));
+    EXPECT_EQ(item.failure_detail, std::string(ideobf::kCancelledDetail));
   }
 }
 

@@ -186,6 +186,21 @@ TEST(Interp, Arrays) {
   EXPECT_EQ(run("(5..1)[0]").get_int(), 5);
 }
 
+TEST(Interp, CountAndLength) {
+  const std::pair<const char*, std::int64_t> cases[] = {
+      {"$null.Count", 0},
+      {"$null.Length", 0},
+      {"((1,2) -gt 5).Count", 0},
+      {"@().Count", 0},
+      {"'ab'.Length", 2},
+      {"(1,2,3).Count", 3},
+      {"5.Count", 1},
+  };
+  for (const auto& [script, value] : cases) {
+    EXPECT_EQ(run(script).get_int(), value) << script;
+  }
+}
+
 TEST(Interp, ArrayPlus) {
   EXPECT_EQ(run("((1,2) + 3).Length").get_int(), 3);
   EXPECT_EQ(run("((1,2) + (3,4)).Length").get_int(), 4);

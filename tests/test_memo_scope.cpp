@@ -23,6 +23,17 @@ void expect_same_response(const Response& a, const Response& b,
   EXPECT_STREQ(to_string(a.failure), to_string(b.failure)) << what;
   EXPECT_EQ(a.failure_detail, b.failure_detail) << what;
   EXPECT_EQ(a.report.degradation_rung, b.report.degradation_rung) << what;
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.language, b.language) << what;
+  ASSERT_EQ(a.report.trace.size(), b.report.trace.size()) << what;
+  for (std::size_t i = 0; i < a.report.trace.size(); ++i) {
+    const TraceEvent& x = a.report.trace[i];
+    const TraceEvent& y = b.report.trace[i];
+    EXPECT_TRUE(x.kind == y.kind && x.offset == y.offset &&
+                x.before == y.before && x.after == y.after &&
+                x.pass == y.pass)
+        << what << " trace event " << i;
+  }
 }
 
 std::vector<Request> corpus_requests(std::uint64_t seed, int n) {
@@ -80,16 +91,53 @@ TEST(MemoScope, RepeatedBatchIsIdenticalOnOneEngine) {
 }
 
 TEST(MemoScope, BatchMatchesFreshEnginePerScript) {
-  // Each item of a batch answers as if it had a fresh engine to itself.
-  Options options;
-  options.threads = 4;
-  const Engine engine(options);
-  const std::vector<Request> requests = corpus_requests(33, 60);
-  const std::vector<Response> batch = engine.handle_batch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
+  // Each item of a batch answers as if it had a fresh engine to itself,
+  // whatever the request asks for and however many threads serve it.
+  std::vector<Request> requests = corpus_requests(33, 60);
+  auto cancelled = CancellationToken::make();
+  cancelled.request_cancel();
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Response fresh = Engine{}.handle(requests[i]);
-    expect_same_response(batch[i], fresh, "item " + std::to_string(i));
+    Request& request = requests[i];
+    switch (i % 5) {
+      case 1:  // a governed deadline
+        request.deadline_ms = 30000;
+        break;
+      case 2: {  // a per-request pipeline override
+        Options options;
+        options.rename = false;
+        options.limits.max_layers = 2;
+        request.options = options;
+        break;
+      }
+      case 3:  // the change trace
+        request.trace = true;
+        break;
+      case 4: {  // a token cancelled before the request starts
+        Options options;
+        options.limits.cancel = cancelled;
+        request.options = options;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  std::vector<Response> fresh;
+  for (const Request& request : requests) {
+    fresh.push_back(Engine{}.handle(request));
+  }
+  EXPECT_EQ(fresh[4].failure, FailureKind::Cancelled);
+  EXPECT_FALSE(fresh[3].report.trace.empty());
+  for (unsigned threads : {1u, 4u}) {
+    Options options;
+    options.threads = threads;
+    const std::vector<Response> batch = Engine(options).handle_batch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expect_same_response(batch[i], fresh[i],
+                           std::to_string(threads) + " threads, item " +
+                               std::to_string(i));
+    }
   }
 }
 

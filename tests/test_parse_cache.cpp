@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/deobfuscator.h"
+#include "ideobf/api.h"
 #include "psast/parse_cache.h"
 #include "psast/parser.h"
 
@@ -106,30 +106,34 @@ TEST(ParseCache, ExtentsIndexIntoCallerBuffer) {
 }
 
 TEST(ParseCache, SharedAcrossBatchThreads) {
-  // One counts sink under deobfuscate_batch with 8 threads over heavily
+  // One counts sink under Engine::handle_batch with 8 threads over heavily
   // duplicated inputs: results must match the serial uncached run exactly.
-  std::vector<std::string> scripts;
+  std::vector<Request> requests;
   for (int i = 0; i < 32; ++i) {
-    scripts.push_back("iex 'Write-Host dup'");
-    scripts.push_back("$x = 'h' + 'i'; Write-Host $x");
-    scripts.push_back("broken ( input " + std::to_string(i % 4));
+    for (std::string source :
+         {std::string("iex 'Write-Host dup'"),
+          std::string("$x = 'h' + 'i'; Write-Host $x"),
+          "broken ( input " + std::to_string(i % 4)}) {
+      Request request;
+      request.source = std::move(source);
+      requests.push_back(std::move(request));
+    }
   }
 
   Options uncached;
   uncached.parse_cache = false;
-  const auto expected =
-      deobfuscate_batch(InvokeDeobfuscator(uncached), scripts, 1);
+  uncached.threads = 1;
+  const auto expected = Engine(uncached).handle_batch(requests);
 
   Options shared;
+  shared.threads = 8;
   shared.shared_parse_cache = std::make_shared<ps::ParseCache>(64);
-  const InvokeDeobfuscator deobf(shared);
-  BatchReport report;
-  const auto got = deobfuscate_batch(deobf, scripts, report, 8);
+  const auto got = Engine(shared).handle_batch(requests);
 
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "sample " << i;
-    EXPECT_TRUE(report.items[i].ok);
+    EXPECT_EQ(got[i].result, expected[i].result) << "sample " << i;
+    EXPECT_TRUE(got[i].ok);
   }
   // Every run's own table was exercised — within a run the syntax check's
   // parse serves the next phase — and its counts reached the sink, which
@@ -143,8 +147,9 @@ TEST(ParseCache, SharedAcrossBatchThreads) {
   // Tables are per run, so the counts cannot depend on scheduling: one
   // thread adds up to exactly the same.
   Options serial;
+  serial.threads = 1;
   serial.shared_parse_cache = std::make_shared<ps::ParseCache>();
-  (void)deobfuscate_batch(InvokeDeobfuscator(serial), scripts, 1);
+  (void)Engine(serial).handle_batch(requests);
   const ps::ParseCacheStats one = serial.shared_parse_cache->stats();
   EXPECT_EQ(one.hits, counts.hits);
   EXPECT_EQ(one.misses, counts.misses);

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -19,11 +20,17 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/json_writer.h"
+#include "corpus/corpus.h"
 #include "gtest/gtest.h"
+#include "ideobf/api.h"
 #include "ideobf/client.h"
 #include "server/flight_recorder.h"
+#include "server/json.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "telemetry/chrome_trace.h"
+#include "telemetry/log.h"
 
 namespace {
 
@@ -725,6 +732,206 @@ TEST(FlightRecorder, RingRecordsLifecycleAndMirrorsToFile) {
   dump = recorder.dump_json();
   EXPECT_LT(dump.find("w0-8"), dump.find("w0-7")) << dump;
   ::unlink(path.c_str());
+}
+
+TEST(FlightRecorder, InflightRecordOutlivesLaterDispatches) {
+  using ideobf::server::FlightRecorder;
+  FlightRecorder recorder;
+  const std::string path = test_socket("flight-hung") + ".bin";
+  std::string error;
+  ASSERT_TRUE(recorder.open_mirror(path, error)) << error;
+
+  // A hung request, then twice the ring's worth of requests that complete.
+  FlightRecorder::Record hung;
+  hung.request_id = "w0-hung";
+  (void)recorder.begin(hung);
+  const ideobf::telemetry::PipelineProfile profile;
+  for (std::size_t i = 0; i < 2 * FlightRecorder::kSlots; ++i) {
+    FlightRecorder::Record done;
+    done.request_id = "w0-" + std::to_string(i);
+    recorder.finish(recorder.begin(done), "ok", 0.001, 0.001, profile);
+  }
+
+  const auto expect_hung_inflight = [](const std::string& text) {
+    const std::size_t at = text.find("\"request_id\":\"w0-hung\"");
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::size_t end = text.find('}', at);
+    EXPECT_NE(text.substr(at, end - at).find("\"outcome\":\"inflight\""),
+              std::string::npos);
+  };
+  expect_hung_inflight(recorder.dump_json());
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream mirror;
+  mirror << in.rdbuf();
+  expect_hung_inflight(mirror.str());
+  // The newest completed request is still there too.
+  const std::string newest =
+      "w0-" + std::to_string(2 * FlightRecorder::kSlots - 1);
+  EXPECT_NE(recorder.dump_json().find(newest), std::string::npos);
+  ::unlink(path.c_str());
+}
+
+// -------------------------------------------------------- path equivalence
+
+/// Renders a parsed JSON value with sorted keys, leaving out `skip` keys of
+/// the top-level object.
+void render_sorted(const ideobf::server::JsonValue& v, std::string& out,
+                   const std::vector<std::string>& skip) {
+  using ideobf::server::JsonValue;
+  if (const auto* obj = v.as_object()) {
+    out += '{';
+    for (const auto& [key, member] : *obj) {
+      if (std::find(skip.begin(), skip.end(), key) != skip.end()) continue;
+      out += ideobf::json_quote(key) + ':';
+      render_sorted(member, out, {});
+      out += ',';
+    }
+    out += '}';
+  } else if (const auto* arr = v.as_array()) {
+    out += '[';
+    for (const JsonValue& item : *arr) {
+      render_sorted(item, out, {});
+      out += ',';
+    }
+    out += ']';
+  } else if (v.is_string()) {
+    out += ideobf::json_quote(v.as_string());
+  } else if (v.is_number()) {
+    out += std::to_string(v.as_double());
+  } else if (v.is_bool()) {
+    out += v.as_bool() ? "true" : "false";
+  } else {
+    out += "null";
+  }
+}
+
+/// A response line with what may differ between paths set aside: timing
+/// fields, the server's request id and its cache marker.
+std::string comparable(const std::string& line) {
+  const auto doc = ideobf::server::parse_json(line);
+  EXPECT_TRUE(doc.has_value()) << line;
+  std::string out;
+  if (doc) {
+    render_sorted(*doc, out, {"seconds", "request_id", "cached", "server_trace"});
+  }
+  return out;
+}
+
+TEST(ServerPathEquivalence, ServedLinesMatchInProcessEngine) {
+  std::vector<Request> requests;
+  ideobf::CorpusGenerator gen(41);
+  int n = 0;
+  for (const ideobf::Sample& sample : gen.generate_batch(24)) {
+    Request request = deobf_request(sample.obfuscated, "c" + std::to_string(n));
+    switch (n++ % 4) {
+      case 1:
+        request.deadline_ms = 30000;
+        break;
+      case 2: {
+        ideobf::Options options;
+        options.rename = false;
+        request.options = options;
+        break;
+      }
+      case 3:
+        request.trace = true;
+        break;
+      default:
+        break;
+    }
+    requests.push_back(std::move(request));
+  }
+  requests.push_back(deobf_request("broken ( input", "broken"));
+  Request js = deobf_request("eval('con' + 'sole.log(\"w\")');", "js");
+  js.language = "javascript";
+  requests.push_back(js);
+
+  const std::string sock = test_socket("path-equivalence");
+  Server server(base_config(sock));
+  server.start();
+  RawConn conn(sock);
+  const ideobf::Engine engine;
+  for (const Request& request : requests) {
+    conn.send_line(ideobf::server::render_request_line(request));
+    const std::string served = conn.recv_line();
+    const std::string in_process = comparable(
+        ideobf::server::render_response_line(engine.handle(request)));
+    ASSERT_NE(in_process.find("\"result\":"), std::string::npos);
+    EXPECT_EQ(comparable(served), in_process) << request.id;
+  }
+  server.stop();
+}
+
+// ------------------------------------------------------------ JSON quoting
+
+TEST(JsonQuoting, EveryWriterRoundTripsControlCharactersQuotesAndBackslashes) {
+  using ideobf::server::parse_json;
+  namespace tel = ideobf::telemetry;
+  std::vector<std::string> table;
+  for (int c = 0; c < 0x20; ++c) {
+    table.push_back("a" + std::string(1, static_cast<char>(c)) + "b");
+  }
+  table.push_back("a\"b");
+  table.push_back("a\\b");
+  table.push_back("\"\\\b\f\n\r\t\x01\x1f mixed");
+
+  // json_quote (every serve reply and CLI --json output).
+  for (const std::string& text : table) {
+    const auto parsed = parse_json(ideobf::json_quote(text));
+    ASSERT_TRUE(parsed.has_value()) << ideobf::json_quote(text);
+    EXPECT_EQ(parsed->as_string(), text);
+  }
+
+  // The NDJSON log: one record per entry.
+  const std::string path = test_socket("quote-log") + ".ndjson";
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
+  ASSERT_GE(fd, 0);
+  tel::set_log_fd(fd);
+  tel::set_log_rate_limit(0.0, 0.0);
+  tel::set_log_level(tel::LogLevel::Info);
+  for (const std::string& text : table) {
+    tel::LogEvent(tel::LogLevel::Info, "test", "quote").field("v", text);
+  }
+  tel::set_log_level(tel::LogLevel::Off);
+  tel::set_log_fd(2);
+  ::close(fd);
+  std::ifstream log(path, std::ios::binary);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(log, line)) {
+    ASSERT_LT(records, table.size());
+    const auto parsed = parse_json(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    const auto* v = parsed->find("v");
+    ASSERT_NE(v, nullptr) << line;
+    EXPECT_EQ(v->as_string(), table[records]);
+    ++records;
+  }
+  EXPECT_EQ(records, table.size());
+  ::unlink(path.c_str());
+
+  // The Chrome trace: one span detail per entry.
+  tel::TraceRecorder recorder;
+  for (const std::string& text : table) {
+    recorder.record(tel::Phase::Pipeline, text, 1000, 10);
+  }
+  const std::string trace = recorder.render();
+  const auto parsed = parse_json(trace);
+  ASSERT_TRUE(parsed.has_value()) << trace;
+  const auto* events = parsed->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(events->as_array(), nullptr);
+  std::vector<std::string> details;
+  for (const auto& event : *events->as_array()) {
+    if (const auto* args = event.find("args")) {
+      if (const auto* detail = args->find("detail")) {
+        details.push_back(detail->as_string());
+      }
+    }
+  }
+  std::sort(details.begin(), details.end());
+  std::sort(table.begin(), table.end());
+  EXPECT_EQ(details, table);
 }
 
 // ---------------------------------------------------------------- language

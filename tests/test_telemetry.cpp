@@ -17,8 +17,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "core/batch.h"
-#include "core/deobfuscator.h"
+#include "ideobf/api.h"
 #include "telemetry/build_info.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/exposition.h"
@@ -65,7 +64,7 @@ TEST(TelemetryMetrics, CounterMergesAcrossShards) {
   TelemetryOn on;
   Counter& c = registry().counter("test_shard_merge_total");
   // One writer thread per shard, each bound explicitly to its own slot the
-  // way deobfuscate_batch binds pool workers. The merged value must be the
+  // way Engine::handle_batch binds pool workers. The merged value must be the
   // exact sum — relaxed per-shard cells, no lost updates.
   constexpr unsigned kThreads = kShardCount;
   constexpr std::uint64_t kPerThread = 10000;
@@ -341,18 +340,24 @@ TEST(TelemetryExport, TwoScriptBatchFeedsBothExporters) {
       "IeX ('Write-Output '+\"'one'\")",
       "$a = 'two'\nWr`ite-Output $a",
   };
-  InvokeDeobfuscator deobf;
-  BatchReport report;
+  std::vector<Request> requests(scripts.size());
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    requests[i].source = scripts[i];
+  }
   Options options;
   options.threads = 2;
-  const auto results = deobfuscate_batch(deobf, scripts, report, options);
+  const auto results = Engine(options).handle_batch(requests);
   Telemetry::set_trace_recorder(nullptr);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(report.failed(), 0);
+  PipelineProfile profile;
+  for (const Response& r : results) {
+    EXPECT_TRUE(r.ok) << r.failure_detail;
+    profile.merge(r.report.profile);
+  }
 
   // The aggregated batch profile saw one Pipeline span per script.
-  EXPECT_EQ(report.profile.stat(Phase::Pipeline).count, 2u);
-  EXPECT_GE(report.profile.stat(Phase::TokenPass).count, 2u);
+  EXPECT_EQ(profile.stat(Phase::Pipeline).count, 2u);
+  EXPECT_GE(profile.stat(Phase::TokenPass).count, 2u);
 
   // Chrome trace: thread-name metadata, complete events, no truncation.
   const std::string trace = recorder.render();

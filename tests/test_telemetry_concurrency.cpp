@@ -14,8 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.h"
-#include "core/deobfuscator.h"
+#include "ideobf/api.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -81,14 +80,20 @@ TEST(TelemetryConcurrency, BatchSpansBalanceAndLanesNest) {
     }
   }
 
-  InvokeDeobfuscator deobf;
-  BatchReport report;
+  std::vector<Request> requests(scripts.size());
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    requests[i].source = scripts[i];
+  }
   Options options;
   options.threads = 4;
-  const auto results = deobfuscate_batch(deobf, scripts, report, options);
+  const auto results = Engine(options).handle_batch(requests);
   Telemetry::set_trace_recorder(nullptr);
   ASSERT_EQ(results.size(), scripts.size());
-  EXPECT_EQ(report.failed(), 0);
+  PipelineProfile profile;
+  for (const Response& r : results) {
+    EXPECT_TRUE(r.ok) << r.failure_detail;
+    profile.merge(r.report.profile);
+  }
 
   // Balance: every span opened during the batch closed.
   const std::uint64_t opened = spans_opened_counter().value();
@@ -97,7 +102,7 @@ TEST(TelemetryConcurrency, BatchSpansBalanceAndLanesNest) {
   EXPECT_EQ(opened, closed);
 
   // The batch profile aggregated one Pipeline span per item across lanes.
-  EXPECT_EQ(report.profile.stat(Phase::Pipeline).count, scripts.size());
+  EXPECT_EQ(profile.stat(Phase::Pipeline).count, scripts.size());
 
   // Per-lane interval containment: sort a lane's spans by start time
   // (longer first on ties) and sweep with a stack of enclosing end times.
