@@ -42,9 +42,13 @@ struct RecoveryStats {
   /// Tree-walk entries refused before evaluating: the tree showed how
   /// the walk would fail (an unbound variable, a blocked command name).
   int pieces_refused = 0;
-  /// Pure pieces whose value, lacking a literal form, was bound for
-  /// enclosing pieces to read instead of evaluating them again.
+  /// Piece outcomes recorded for enclosing pieces to read instead of
+  /// evaluating them again: pure pieces' values that lack a literal form,
+  /// and impure tree-walked pieces' values and failures.
   int pieces_bound = 0;
+  /// Piece and assignment evaluations that ended in an exception (a
+  /// refused one throws nothing).
+  int pieces_thrown = 0;
   /// Most severe per-piece failure seen (failure_severity order); the
   /// governor surfaces it as the item classification when nothing worse
   /// aborted the run.

@@ -33,6 +33,7 @@ void merge(RecoveryStats& into, const RecoveryStats& from) {
   into.pieces_reparsed += from.pieces_reparsed;
   into.pieces_refused += from.pieces_refused;
   into.pieces_bound += from.pieces_bound;
+  into.pieces_thrown += from.pieces_thrown;
   into.worst_failure = ps::worse_failure(into.worst_failure, from.worst_failure);
 }
 

@@ -339,6 +339,13 @@ class Reconstructor {
   /// The value-bound nodes in overrides_, in binding (post) order, so a
   /// node's bound descendants are a suffix.
   std::vector<const Ast*> value_bound_;
+  /// Bumped by every change to what a seeded interpreter starts from (the
+  /// traced table, the visible scope, the loaded functions) and by every
+  /// walk that wrote interpreter state: each bump drops the impure records,
+  /// which read that state.
+  std::uint64_t generation_ = 0;
+  /// Whether overrides_ may hold an impure record.
+  bool impure_recorded_ = false;
   /// End offsets of this pass's replaced nodes: a literal spliced right
   /// after another one may merge with it.
   std::unordered_set<std::size_t> replaced_ends_;
@@ -407,15 +414,17 @@ class Reconstructor {
     stats_.worst_failure = ps::worse_failure(stats_.worst_failure, kind);
   }
 
-  /// A fresh strict interpreter preloaded with the traced variable values.
-  std::unique_ptr<ps::Interpreter> make_interpreter() const {
+  /// A fresh strict interpreter preloaded with the traced variable values,
+  /// charging `budget` (the pass's by default).
+  std::unique_ptr<ps::Interpreter> make_interpreter(
+      ps::Budget* budget = nullptr) const {
     ps::InterpreterOptions opts;
     opts.max_steps = options_.max_steps_per_piece;
     opts.strict_variables = true;
     opts.refuse_blocklisted = true;
     opts.command_filter = make_recovery_filter(options_.extra_blocklist);
     opts.parse_cache = cache_;
-    opts.budget = options_.budget;
+    opts.budget = budget != nullptr ? budget : options_.budget;
     auto interp = std::make_unique<ps::Interpreter>(opts);
     for (const auto& [name, info] : table_) {
       if (scope_visible(info.scope)) interp->set_variable(name, info.value);
@@ -431,7 +440,26 @@ class Reconstructor {
         // A definition that does not evaluate is simply unavailable.
       }
     }
+    interp->mark_seeded();
     return interp;
+  }
+
+  /// Drops every impure record: the state it read may have changed.
+  void bump_generation() {
+    ++generation_;
+    if (!impure_recorded_) return;
+    std::erase_if(value_bound_, [this](const Ast* node) {
+      const auto it = overrides_.find(node);
+      if (!it->second.impure) return false;
+      overrides_.erase(it);
+      return true;
+    });
+    impure_recorded_ = false;
+  }
+
+  /// Removes a variable from the traced table.
+  void untrace(const std::string& bare) {
+    if (table_.erase(bare) != 0) bump_generation();
   }
 
   /// The fold-stage interpreter: same limits/blocklist/budget as
@@ -608,19 +636,120 @@ class Reconstructor {
     stats_.pieces_bound++;
   }
 
-  static bool bindable(const Value& v) {
-    if (v.is_object()) return false;
+  /// Whether a value can be bound: `objects` admits objects, for impure
+  /// records (a member call that mutates one is a write, which bumps the
+  /// generation); script blocks never bind there, since invoking one runs
+  /// its live node.
+  static bool bindable(const Value& v, bool objects = false) {
+    if (v.is_object()) return objects;
+    if (objects && v.is_scriptblock()) return false;
     if (v.is_array()) {
       for (const Value& item : v.get_array()) {
-        if (!bindable(item)) return false;
+        if (!bindable(item, objects)) return false;
       }
     }
     if (v.is_hashtable()) {
       for (const auto& [k, item] : v.get_hashtable().entries) {
-        if (!bindable(k) || !bindable(item)) return false;
+        if (!bindable(k, objects) || !bindable(item, objects)) return false;
       }
     }
     return true;
+  }
+
+  /// Records an impure tree-walked piece's outcome (its value with no
+  /// literal form, or a failure that is not a limit's), with its cost, for
+  /// enclosing pieces to replay or refuse. The walk wrote no interpreter
+  /// state, so the outcome holds until the next bump_generation().
+  void record_outcome(const Ast& node, ps::FailureKind failure,
+                      ps::BoundValue outcome) {
+    if (failure == ps::FailureKind::None) {
+      if (!bindable(outcome.value, true) ||
+          (node.kind() == NodeKind::Pipeline && outcome.value.is_null())) {
+        return;
+      }
+    } else if (failure != ps::FailureKind::EvalError &&
+               failure != ps::FailureKind::BlockedCommand &&
+               failure != ps::FailureKind::ParseError) {
+      return;
+    }
+    outcome.failure = failure;
+    outcome.impure = true;
+    release_values_under(node);
+    overrides_.insert_or_assign(&node, std::move(outcome));
+    value_bound_.push_back(&node);
+    impure_recorded_ = true;
+    stats_.pieces_bound++;
+  }
+
+  /// The steps past the one that reaches `node` from an enclosing piece:
+  /// a standalone evaluation enters an expression through exec_statement
+  /// and eval_expr, a pipeline through exec_statement alone.
+  static std::size_t steps_past_entry(const Ast& node, std::size_t steps) {
+    const std::size_t entry = node.kind() == NodeKind::Pipeline ? 1 : 2;
+    return steps - std::min(entry, steps);
+  }
+
+  std::size_t bytes_charged() const {
+    return options_.budget != nullptr ? options_.budget->bytes_charged() : 0;
+  }
+
+  /// RecoveryOptions::verify_bindings: walks every impure record under
+  /// `node` on a freshly seeded interpreter with an unlimited budget of its
+  /// own, and raises std::logic_error when its outcome differs from the
+  /// record's.
+  void verify_records_under(const Ast& node) const {
+    for (auto it = value_bound_.rbegin();
+         it != value_bound_.rend() && (*it)->start() >= node.start(); ++it) {
+      const ps::BoundValue& record = overrides_.at(*it);
+      if (!record.impure || (*it)->end() > node.end()) continue;
+      ps::NodeOverrides others = overrides_;
+      others.erase(*it);
+      ps::Budget budget{ps::Budget::Limits{}};
+      const std::unique_ptr<ps::Interpreter> interp = make_interpreter(&budget);
+      const std::size_t steps0 = interp->steps();
+      ps::FailureKind failure = ps::FailureKind::None;
+      Value value;
+      try {
+        value = interp->evaluate(**it, src_, &others);
+      } catch (const ps::BudgetError&) {
+        throw;
+      } catch (const FaultError&) {
+        throw;
+      } catch (const std::exception& e) {
+        failure = classify(e).first;
+      }
+      const std::size_t steps = steps_past_entry(**it, interp->steps() - steps0);
+      if (failure != record.failure || steps != record.steps ||
+          budget.bytes_charged() != record.bytes ||
+          (failure == ps::FailureKind::None && !same_value(value, record.value))) {
+        throw std::logic_error(
+            "binding mismatch on `" + std::string((*it)->text_in(src_)) +
+            "`: recorded " + ps::to_string(record.failure) + " in " +
+            std::to_string(record.steps) + " steps and " +
+            std::to_string(record.bytes) + " bytes, the walk gave " +
+            ps::to_string(failure) + " in " + std::to_string(steps) +
+            " steps and " + std::to_string(budget.bytes_charged()) + " bytes");
+      }
+    }
+  }
+
+  /// Equality of two evaluations' values: objects by type and display.
+  static bool same_value(const Value& a, const Value& b) {
+    if (a.is_object() || b.is_object()) {
+      return a.is_object() && b.is_object() &&
+             a.get_object()->type_name() == b.get_object()->type_name() &&
+             a.get_object()->to_display() == b.get_object()->to_display();
+    }
+    if (a.is_array() && b.is_array()) {
+      const auto& x = a.get_array();
+      const auto& y = b.get_array();
+      if (x.size() != y.size()) return false;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        if (!same_value(x[i], y[i])) return false;
+      }
+      return true;
+    }
+    return a.type_name() == b.type_name() && a == b;
   }
 
   /// Whether evaluating `node` can run a `-match` (which assigns
@@ -654,6 +783,7 @@ class Reconstructor {
     // Scope bookkeeping (the six scope kinds of Algorithm 1).
     const bool scoped = ps::is_scope_kind(node.kind());
     const bool conditional = is_loop_or_conditional(node.kind());
+    const std::uint64_t generation = generation_;
     if (scoped) scope_path_.push_back(++scope_counter_);
     if (conditional) ++conditional_depth_;
 
@@ -671,7 +801,11 @@ class Reconstructor {
     }
 
     if (conditional) --conditional_depth_;
-    if (scoped) scope_path_.pop_back();
+    if (scoped) {
+      scope_path_.pop_back();
+      // What the scope traced is out of sight now.
+      if (generation_ != generation) bump_generation();
+    }
 
     if (self.rewritten && reads_source_text(node.kind())) {
       self.replayable = false;
@@ -701,6 +835,7 @@ class Reconstructor {
           function_defs_.emplace_back(text_of(node, self));
           function_names_.push_back(ps::to_lower(
               static_cast<const ps::FunctionDefinitionAst&>(node).name));
+          bump_generation();
         }
         return self;
       case NodeKind::ExpandableStringExpression:
@@ -722,7 +857,7 @@ class Reconstructor {
     // Algorithm 1 lines 8-12: any variable touched inside a loop or
     // conditional statement becomes untraceable.
     if (conditional_depth_ > 0) {
-      table_.erase(bare);
+      untrace(bare);
       return self;
     }
     if (is_untouchable_variable(bare)) return self;
@@ -743,7 +878,7 @@ class Reconstructor {
       if (parent->kind() == NodeKind::UnaryExpression) {
         const auto& un = static_cast<const ps::UnaryExpressionAst&>(*parent);
         if (ps::is_increment(un.id)) {
-          table_.erase(bare);
+          untrace(bare);
           return self;
         }
       }
@@ -791,12 +926,17 @@ class Reconstructor {
           opts.parse_cache = cache_;
           opts.budget = options_.budget;
           ps::Interpreter probe(opts);
-          const Value v = probe.evaluate(var, src_);
-          if (v.is_string() || v.is_char()) literal = value_to_literal(v);
+          if (probe.refusal(var, nullptr)) {
+            // An unknown variable: its walk would throw at its first step.
+            if (options_.budget != nullptr) options_.budget->checkpoint();
+          } else {
+            const Value v = probe.evaluate(var, src_);
+            if (v.is_string() || v.is_char()) literal = value_to_literal(v);
+          }
         } catch (const ps::BudgetError&) {
           throw;
         } catch (const std::exception&) {
-          // unknown: keep as-is
+          stats_.pieces_thrown++;  // unknown: keep as-is
         }
         if (options_.memo != nullptr) {
           options_.memo->store(kEnvProbeContext, probe_text, literal);
@@ -820,7 +960,7 @@ class Reconstructor {
     const auto& var = static_cast<const ps::VariableExpressionAst&>(*st.left);
     const std::string bare = var.bare_name();
     if (conditional_depth_ > 0 || is_untouchable_variable(bare)) {
-      table_.erase(bare);
+      untrace(bare);
       return self;
     }
     telemetry::PhaseSpan trace_span(telemetry::Phase::VariableTrace);
@@ -828,11 +968,25 @@ class Reconstructor {
       auto interp = make_interpreter();
       if (subtree_path(self)) {
         // The assignment's own subtree, replaced nodes bound.
-        interp->evaluate(st, src_, overrides_under(self, st));
+        const ps::NodeOverrides* overrides = overrides_under(self, st);
+        if (options_.verify_bindings && overrides != nullptr) {
+          verify_records_under(st);
+        }
+        std::size_t bytes = 0;
+        if (const std::optional<ps::FailureKind> refused =
+                interp->refusal(st, overrides, &bytes)) {
+          refuse(*interp, {&st, src_, overrides}, true, st.text_in(src_),
+                 *refused, bytes);
+          record_piece_failure(*refused);
+          untrace(bare);
+          return self;
+        }
+        interp->evaluate(st, src_, overrides);
       } else {
         stats_.pieces_reparsed++;
         interp->evaluate_script(text_of(st, self));
       }
+      bump_generation();  // the walk wrote, and the table changes
       if (auto value = interp->get_variable(bare)) {
         table_[bare] = VarInfo{*value, scope_path_};
         stats_.variables_traced++;
@@ -841,7 +995,7 @@ class Reconstructor {
                         value_to_literal(*value), trace_->pass()});
         }
       } else {
-        table_.erase(bare);
+        untrace(bare);
       }
     } catch (const ps::BudgetError&) {
       throw;  // item-level envelope: aborts the pass, not just this record
@@ -850,9 +1004,12 @@ class Reconstructor {
     } catch (const std::exception& e) {
       // Unknown variables / blocked commands / limits: drop the record
       // (Algorithm 1 lines 15-18) but remember what kind of failure it was
-      // for the item classification.
+      // for the item classification. The walk may have written objects
+      // the table shares.
+      stats_.pieces_thrown++;
       record_piece_failure(classify(e).first);
       table_.erase(bare);
+      bump_generation();
     }
     return self;
   }
@@ -866,13 +1023,14 @@ class Reconstructor {
   ///   3. on a miss, evaluate: *fold* pure pieces by tree-walking them on
   ///      the shared table-free interpreter, and tree-walk everything else
   ///      on a freshly seeded interpreter (*fallback*), unless that
-  ///      interpreter refuses the piece because the tree already shows how
-  ///      the walk would fail.
+  ///      interpreter refuses the piece because the tree (or an outcome
+  ///      recorded in it) already shows how the walk would fail.
   ///
   /// A folded piece on the subtree path whose value has no literal form is
-  /// bound for its enclosing pieces (bind_value). The returned literal is
-  /// "" when the piece stays as-is (failed execution, no literal form, or
-  /// no progress).
+  /// bound for its enclosing pieces (bind_value); a tree-walked one that
+  /// wrote no interpreter state records its value or failure
+  /// (record_outcome). The returned literal is "" when the piece stays
+  /// as-is (failed execution, no literal form, or no progress).
   std::string execute_piece(const Rebuilt& piece, const Ast& node) {
     const std::string_view text = text_of(node, piece);
     telemetry::PhaseSpan piece_span(telemetry::Phase::PieceExecution,
@@ -921,8 +1079,9 @@ class Reconstructor {
     const bool timed = telemetry::enabled();
     const bool subtree = root.node == &node;
     if (!subtree) stats_.pieces_reparsed++;
-    ps::BoundValue result(Value{});  // the value, and a fold's cost
+    ps::BoundValue result(Value{});  // the value, and the evaluation's cost
     ps::FailureKind failure;
+    bool recordable = false;  // a walk that wrote nothing
     if (pure) {
       stats_.pieces_folded++;
       fold_counter().add();
@@ -932,7 +1091,7 @@ class Reconstructor {
       stats_.treewalk_fallbacks++;
       treewalk_fallback_counter().add();
       if (timed) timer.start(fallback_histogram());
-      failure = tree_walk(root, subtree, text, result.value);
+      failure = tree_walk(root, subtree, text, result, recordable);
     }
     std::string literal;
     if (failure != ps::FailureKind::None) {
@@ -941,9 +1100,12 @@ class Reconstructor {
       literal = value_to_literal(result.value);
     }
     timer.finish();  // observe now; don't charge binding or memo time below
-    if (failure == ps::FailureKind::None && literal.empty() && pure &&
-        subtree && options_.bind_values) {
-      bind_value(node, std::move(result));
+    if (subtree && options_.bind_values && literal.empty()) {
+      if (pure && failure == ps::FailureKind::None) {
+        bind_value(node, std::move(result));
+      } else if (recordable) {
+        record_outcome(node, failure, std::move(result));
+      }
     }
     if (literal == text) literal.clear();  // no progress
     if (options_.memo != nullptr) options_.memo->store(ctx, text, literal);
@@ -960,58 +1122,82 @@ class Reconstructor {
       ps::Interpreter& interp = fold_interpreter();
       // A fresh step allowance per piece, as a fresh interpreter has.
       interp.reset_steps();
-      const std::size_t bytes0 =
-          options_.budget != nullptr ? options_.budget->bytes_charged() : 0;
+      const std::size_t bytes0 = bytes_charged();
       result.value = interp.evaluate(*root.node, root.source, root.overrides);
-      const std::size_t entry =
-          root.node->kind() == NodeKind::Pipeline ? 1 : 2;
-      result.steps = interp.steps() - std::min(entry, interp.steps());
-      if (options_.budget != nullptr) {
-        result.bytes = options_.budget->bytes_charged() - bytes0;
-      }
+      result.steps = steps_past_entry(*root.node, interp.steps());
+      result.bytes = bytes_charged() - bytes0;
       return ps::FailureKind::None;
     } catch (const ps::BudgetError&) {
       throw;  // deadline / allocation / cancellation abort the whole pass
     } catch (const FaultError&) {
       throw;  // injected faults must reach the governor
     } catch (const std::exception& e) {
+      stats_.pieces_thrown++;
       return classify(e).first;
     }
   }
 
   /// Tree-walks an impure piece on a freshly seeded interpreter, after
-  /// asking it for a refusal. A refused piece fails with the refusal's
-  /// kind without being evaluated; it passes one budget checkpoint, as
-  /// the walk's first step would.
+  /// asking it for a refusal. `result` receives the value and the walk's
+  /// cost, or the cost up to the throw. `recordable` is set when the piece
+  /// was walked and wrote no interpreter state; a walk that wrote some
+  /// bumps the generation, since objects and arrays it changed may be the
+  /// table's.
   ps::FailureKind tree_walk(const PieceRoot& root, bool subtree,
-                            std::string_view text, Value& result) {
-    std::unique_ptr<ps::Interpreter> interp;
-    std::optional<ps::FailureKind> refused;
+                            std::string_view text, ps::BoundValue& result,
+                            bool& recordable) {
+    const std::unique_ptr<ps::Interpreter> interp = make_interpreter();
+    // evaluate_script counts the parse path's steps from zero.
+    if (!subtree) interp->reset_steps();
+    if (root.node != nullptr) {
+      if (options_.verify_bindings && root.overrides != nullptr) {
+        verify_records_under(*root.node);
+      }
+      std::size_t bytes = 0;
+      if (const std::optional<ps::FailureKind> refused =
+              interp->refusal(*root.node, root.overrides, &bytes)) {
+        stats_.pieces_refused++;
+        piece_refused_counter().add();
+        refuse(*interp, root, subtree, text, *refused, bytes);
+        return *refused;
+      }
+    }
+    const std::size_t steps0 = interp->steps();
+    const std::size_t bytes0 = bytes_charged();
+    ps::FailureKind failure = ps::FailureKind::None;
     try {
-      interp = make_interpreter();
-      if (root.node != nullptr) {
-        // evaluate_script counts the parse path's steps from zero.
-        if (!subtree) interp->reset_steps();
-        refused = interp->refusal(*root.node, root.overrides);
-      }
-      if (!refused) {
-        result = walk(*interp, root, subtree, text);
-        return ps::FailureKind::None;
-      }
+      result.value = walk(*interp, root, subtree, text);
     } catch (const ps::BudgetError&) {
       throw;
     } catch (const FaultError&) {
       throw;
     } catch (const std::exception& e) {
-      return classify(e).first;
+      stats_.pieces_thrown++;
+      failure = classify(e).first;
     }
-    stats_.pieces_refused++;
-    piece_refused_counter().add();
-    if (options_.budget != nullptr) options_.budget->checkpoint();
+    if (interp->wrote()) {
+      bump_generation();
+    } else if (subtree) {
+      recordable = true;
+      result.steps = steps_past_entry(*root.node, interp->steps() - steps0);
+      result.bytes = bytes_charged() - bytes0;
+    }
+    return failure;
+  }
+
+  /// Books a refusal as the walk's failure: the bytes the walk would
+  /// charge before it, and one budget checkpoint, as the walk's first step
+  /// would pass. Under verify_refusals the walk runs anyway (charging the
+  /// bytes itself) and must fail with the refusal's kind.
+  void refuse(ps::Interpreter& interp, const PieceRoot& root, bool subtree,
+              std::string_view text, ps::FailureKind refused,
+              std::size_t bytes) {
     if (options_.verify_refusals) {
-      verify_refusal(*interp, root, subtree, text, *refused);
+      verify_refusal(interp, root, subtree, text, refused);
+    } else if (options_.budget != nullptr && bytes != 0) {
+      options_.budget->charge_bytes(bytes);
     }
-    return *refused;
+    if (options_.budget != nullptr) options_.budget->checkpoint();
   }
 
   Value walk(ps::Interpreter& interp, const PieceRoot& root, bool subtree,
@@ -1162,8 +1348,11 @@ class PurityCheck {
   std::span<const std::string> traced_functions_;
   bool in_item_block_ = false;
 
+  /// A pure binding or a literal; an impure record is not a constant.
   bool bound(const Ast& node) const {
-    return overrides_ != nullptr && overrides_->count(&node) != 0;
+    if (overrides_ == nullptr) return false;
+    const auto it = overrides_->find(&node);
+    return it != overrides_->end() && !it->second.impure;
   }
 
   /// A pure first expression, then any number of item blocks.

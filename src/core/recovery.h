@@ -106,16 +106,23 @@ struct RecoveryOptions {
   /// failure kind other than the refusal's raises std::logic_error out of
   /// the pass (DESIGN.md §7, invariant 9).
   bool verify_refusals = false;
-  /// Reference for tests: false binds no evaluated value, so every piece
-  /// evaluates its whole subtree, as before binding existed. Limits and
-  /// outputs must not change either way.
+  /// Check for tests: before a piece or assignment evaluates, every impure
+  /// outcome recorded under it is walked again on a freshly seeded
+  /// interpreter, and any difference in value, failure kind, steps or
+  /// budget bytes raises std::logic_error out of the pass (DESIGN.md §7,
+  /// invariant 10).
+  bool verify_bindings = false;
+  /// Reference for tests: false records no evaluated outcome, so every
+  /// piece evaluates its whole subtree, as before binding existed. Limits
+  /// and outputs must not change either way.
   bool bind_values = true;
 };
 
 /// True when evaluating `root` (a recoverable piece, or the single statement
 /// of a rewritten piece's parse) cannot observe interpreter state, so it
 /// folds on a shared table-free interpreter under one constant memo context.
-/// Nodes bound in `overrides` (replaced by literals) count as constants.
+/// Nodes bound in `overrides` (replaced by literals, or pure values) count
+/// as constants; an impure record (BoundValue::impure) does not.
 /// Pure pieces are built only from constants, type literals, `$`-free
 /// expandable strings, the constant automatic variables ($true, $false,
 /// $null, $pshome, $psscriptroot, $shellid, $home, $pwd), binary operators,

@@ -24,6 +24,7 @@
 #include "pslang/operators.h"
 #include "pslang/token.h"
 #include "psvalue/arena.h"
+#include "psvalue/budget.h"
 #include "psvalue/value.h"
 
 namespace ps {
@@ -765,15 +766,24 @@ bool is_scope_kind(NodeKind kind);
 /// Links parent pointers across the whole subtree rooted at `root`.
 void link_parents(Ast& root);
 
-/// A value bound to a node, with what evaluating the node would have cost:
-/// the evaluation steps past the one that reaches the node, and the budget
-/// bytes it charges. A literal's binding costs nothing.
+/// A node's recorded outcome, with what evaluating the node would have
+/// cost: the evaluation steps past the one that reaches the node, and the
+/// budget bytes it charges (up to the throw, for a failure). A literal's
+/// binding costs nothing.
 struct BoundValue {
   BoundValue(Value value, std::size_t steps = 0, std::size_t bytes = 0)
       : value(std::move(value)), steps(steps), bytes(bytes) {}
   Value value;
   std::size_t steps;
   std::size_t bytes;
+  /// Not None: the evaluation failed with this kind, and `value` is unset.
+  /// Only Interpreter::refusal reads a failure; an evaluation walks the
+  /// node again.
+  FailureKind failure = FailureKind::None;
+  /// The outcome was read from interpreter state (traced variables,
+  /// functions, `$env:`), so it holds only for an evaluation that has
+  /// written none since it was seeded (Interpreter::replay).
+  bool impure = false;
 };
 
 /// Values bound to nodes of one tree, keyed by node address: what an

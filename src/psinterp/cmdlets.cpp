@@ -73,6 +73,7 @@ void Interpreter::exec_command(const CommandAst& cmd, std::string_view src,
       }
       scopes_.emplace_back();
       scopes_.back().vars["args"] = Value(Array(args.begin(), args.end()));
+      note_write();
       try {
         invoke_scriptblock(name_value.get_scriptblock(), input, false, out);
       } catch (...) {
@@ -206,6 +207,7 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
       content = Value(std::move(joined));
     }
     const std::string key = to_lower(path.to_display_string());
+    note_write();
     if (name == "add-content") {
       virtual_fs_[key] += content.to_display_string();
     } else {
@@ -217,8 +219,7 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
   if (name == "get-content") {
     const Value path = arg_or_param({"path", "literalpath"});
     if (rec != nullptr) rec->on_file("read", path.to_display_string());
-    auto it = virtual_fs_.find(to_lower(path.to_display_string()));
-    out.push_back(Value(it != virtual_fs_.end() ? it->second : std::string()));
+    out.push_back(Value(read_virtual_file(path.to_display_string())));
     return;
   }
 
@@ -544,6 +545,7 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
     const Value an = arg_or_param({"name"});
     const Value av = arg_or_param({"value"}, 1);
     user_aliases_[to_lower(an.to_display_string())] = av.to_display_string();
+    note_write();
     return;
   }
   if (name == "get-alias") {
@@ -556,16 +558,16 @@ void Interpreter::run_command(CommandCall& call, std::vector<Value>& out) {
 
   // -------------------------------------------------------------- misc
   if (name == "get-random") {
-    static RandomObject shared_rng;
     std::int64_t lo = 0, hi = 2147483647;
     if (const Value* mn = param({"minimum"})) lo = need_int(*mn, "-Minimum");
     if (const Value* mx = param({"maximum"})) hi = need_int(*mx, "-Maximum");
+    note_write();  // a draw advances this interpreter's RNG
     if (!call.input.empty()) {
-      out.push_back(call.input[static_cast<std::size_t>(
-          shared_rng.next(0, static_cast<std::int64_t>(call.input.size())))]);
+      out.push_back(call.input[static_cast<std::size_t>(random_next(
+          rng_, 0, static_cast<std::int64_t>(call.input.size())))]);
       return;
     }
-    out.push_back(Value(shared_rng.next(lo, hi)));
+    out.push_back(Value(random_next(rng_, lo, hi)));
     return;
   }
   if (name == "get-date") {

@@ -55,7 +55,8 @@ Value detached_copy(const Value& v) {
 
 // ------------------------------------------------------------ construction
 
-Interpreter::Interpreter(InterpreterOptions opts) : opts_(std::move(opts)) {
+Interpreter::Interpreter(InterpreterOptions opts)
+    : opts_(std::move(opts)), rng_(kDefaultRandomSeed) {
   scopes_.emplace_back();
 }
 
@@ -114,6 +115,7 @@ const Value* Interpreter::find_variable(const std::string& lower_name) const {
 }
 
 void Interpreter::assign_variable(const std::string& name, Value v) {
+  note_write();
   std::string lower = to_lower(name);
   if (lower.rfind("global:", 0) == 0 || lower.rfind("script:", 0) == 0) {
     globals_[lower.substr(lower.find(':') + 1)] = std::move(v);
@@ -211,8 +213,32 @@ void Interpreter::charge_bytes(std::size_t bytes, bool enforce_max_string) {
   if (opts_.budget != nullptr) opts_.budget->charge_bytes(bytes);
 }
 
+std::string Interpreter::read_virtual_file(const std::string& path) const {
+  const auto it = virtual_fs_.find(to_lower(path));
+  if (it != virtual_fs_.end()) return it->second;
+  if (opts_.strict_variables) {
+    throw EvalError("cannot find path '" + path + "': it does not exist");
+  }
+  return {};
+}
+
 bool Interpreter::replay(const BoundValue& bound) {
+  // An impure outcome holds for the state it was recorded in: the seeded
+  // one, read at the walk's own level, before any write.
+  if (bound.failure != FailureKind::None ||
+      (bound.impure && (wrote() || depth_ != 1))) {
+    return false;
+  }
   if (bound.steps > opts_.max_steps - steps_) return false;
+  // Once per evaluation: two reads must not share an object that two
+  // evaluations of the node would have built apart.
+  if (bound.impure) {
+    if (std::find(replayed_.begin(), replayed_.end(), &bound) !=
+        replayed_.end()) {
+      return false;
+    }
+    replayed_.push_back(&bound);
+  }
   if (opts_.budget != nullptr && bound.bytes != 0) {
     if (!opts_.budget->fits_bytes(bound.bytes)) return false;
     opts_.budget->charge_bytes(bound.bytes);
@@ -360,6 +386,7 @@ void Interpreter::exec_statement(const Ast& node, std::string_view src,
         }
       }
       functions_[to_lower(fn.name)] = std::move(info);
+      note_write();
       return;
     }
     case NodeKind::ReturnStatement: {
@@ -417,6 +444,7 @@ void Interpreter::exec_assignment(const AssignmentStatementAst& st,
     const auto& idx = static_cast<const IndexExpressionAst&>(*st.left);
     Value target = eval_expr(*idx.target, src);
     const Value index = eval_expr(*idx.index, src);
+    note_write();  // the element store, into storage a variable may share
     if (target.is_array()) {
       std::int64_t i = need_int(index, "index");
       auto& arr = target.get_array();
@@ -1521,12 +1549,14 @@ void Interpreter::invoke_scriptblock(const ScriptBlock& sb,
     for (const Value& item : input) {
       charge_step();
       scopes_.back().vars["_"] = item;
+      note_write();
       run_once();
     }
   } else {
     if (!input.empty()) {
       scopes_.back().vars["_"] = input.back();
       scopes_.back().vars["input"] = Value(Array(input.begin(), input.end()));
+      note_write();
     }
     run_once();
   }
@@ -1558,6 +1588,7 @@ Value Interpreter::call_function(const FunctionInfo& fn,
         i < args.size() ? args[i] : Value();
   }
   scopes_.back().vars["args"] = Value(Array(args.begin(), args.end()));
+  note_write();
 
   std::vector<Value> out;
   try {

@@ -81,8 +81,10 @@ struct InterpreterOptions {
   std::size_t max_depth = 64;
   /// Maximum size of any single produced string.
   std::size_t max_string = 16u << 20;
-  /// Strict mode throws EvalError on unknown variables — the recovery engine
-  /// uses this so pieces with untraced variables are kept, per Algorithm 1.
+  /// Strict mode throws EvalError on unknown variables, and on reads of
+  /// files the evaluation never wrote (a missing path, as in PowerShell) —
+  /// the recovery engine uses this so pieces with untraced variables or
+  /// files are kept, per Algorithm 1. Without it they read as empty.
   bool strict_variables = false;
   /// When the command filter rejects a command, throw BlockedCommandError
   /// instead of recording-and-continuing.
@@ -179,15 +181,28 @@ class Interpreter {
   /// Steps charged since the last reset.
   std::size_t steps() const { return steps_; }
 
+  /// Marks the state as seeded: from here on, an impure recorded outcome
+  /// (BoundValue::impure) replays only while nothing has been written.
+  void mark_seeded() { seeded_writes_ = writes_; }
+  /// Whether anything was written since mark_seeded(): a variable (`$_`,
+  /// parameters and `$matches` included), `$env:`, a virtual file, a
+  /// function, an alias, the RNG, an element of an array or hashtable, or
+  /// the state of an object a member call mutates.
+  bool wrote() const { return writes_ != seeded_writes_; }
+
   /// How `evaluate(node, source, overrides)` is already known to fail,
   /// decided without evaluating anything: follows the evaluation order down
   /// to the first operation that can fail and returns EvalError for a
-  /// strict-mode read of a variable this interpreter does not bind, or
-  /// BlockedCommand for a constant command name the filter refuses. Nullopt
+  /// strict-mode read of a variable this interpreter does not bind,
+  /// BlockedCommand for a constant command name the filter refuses or for a
+  /// filtered member call on a target the tree or a binding fixes, or the
+  /// kind of a recorded failure (BoundValue::failure) on the path. Nullopt
   /// when that operation can succeed, depends on a value, or lies past the
-  /// step limit.
+  /// step limit or the budget. `bytes`, when given, receives the budget
+  /// bytes the evaluation would charge before failing.
   std::optional<FailureKind> refusal(const Ast& node,
-                                     const NodeOverrides* overrides) const;
+                                     const NodeOverrides* overrides,
+                                     std::size_t* bytes = nullptr) const;
 
  private:
   friend class Evaluator;
@@ -215,11 +230,13 @@ class Interpreter {
   /// stripped.
   std::string resolve_command_name(const std::string& name) const;
 
-  /// The evaluation path refusal() follows: the overrides and the step
-  /// count so far.
+  /// The evaluation path refusal() follows: the overrides, the step count
+  /// so far (an upper bound past a member call's operands), and the budget
+  /// bytes the bound nodes on it charge.
   struct RefusalPath {
     const NodeOverrides* overrides;
     std::size_t steps;
+    std::size_t bytes = 0;
   };
   std::optional<FailureKind> refuse_statement(const Ast& node,
                                               RefusalPath& path) const;
@@ -231,11 +248,54 @@ class Interpreter {
                                          RefusalPath& path) const;
   std::optional<FailureKind> refuse_variable(
       const VariableExpressionAst& var) const;
+  /// A bound node on the path: its recorded failure, when the walk would
+  /// reach it within the limits; nullopt for a value.
+  std::optional<FailureKind> refuse_bound(const BoundValue& bound,
+                                          RefusalPath& path) const;
+  /// A member call: past its member name, and past its arguments when
+  /// none can fail, to the first operation that can; past its target when
+  /// that cannot fail either, to the call's blocklist check.
+  std::optional<FailureKind> refuse_member_call(
+      const InvokeMemberExpressionAst& inv, RefusalPath& path) const;
+  /// An operand whose evaluation cannot fail and writes nothing, with its
+  /// value when the tree or a binding fixes it: `value`, or a string
+  /// constant's `text`. Both point into the tree, the overrides or this
+  /// interpreter's variables, which outlive the refusal.
+  struct Operand {
+    bool infallible = false;
+    const Value* value = nullptr;
+    const std::string* text = nullptr;
+    bool known() const { return value != nullptr || text != nullptr; }
+    std::string display() const {
+      return text != nullptr ? *text : value->to_display_string();
+    }
+  };
+  /// A constant, a bound value, a bound variable, `New-Object
+  /// Net.WebClient`, or one of these in parentheses; anything else is not
+  /// infallible. Charges an upper bound of its steps, and the bytes of the
+  /// bindings it replays, to the path.
+  Operand operand(const Ast& node, RefusalPath& path) const;
+  /// Whether the filter refuses a (non-empty) blocklist key.
+  bool blocked(const std::string& key) const;
+  /// Whether reading `path` fails: strict mode, and no such virtual file.
+  bool missing_file(const std::string& path) const;
+  /// Get-Content whose arguments cannot fail and whose path is fixed and
+  /// missing: EvalError, past them.
+  std::optional<FailureKind> refuse_file_read(const CommandAst& cmd,
+                                              RefusalPath& path) const;
+  Operand bound_operand(const BoundValue& bound, RefusalPath& path) const;
+  Operand paren_operand(const Ast& stmt, RefusalPath& path) const;
 
   InterpreterOptions opts_;
   const NodeOverrides* overrides_ = nullptr;
   std::size_t steps_ = 0;
   std::size_t depth_ = 0;
+  /// State writes so far (see wrote()), and their count at mark_seeded().
+  std::uint64_t writes_ = 0;
+  std::uint64_t seeded_writes_ = 0;
+  void note_write() { ++writes_; }
+  /// The impure records replayed so far (replay()).
+  std::vector<const BoundValue*> replayed_;
 
   /// The evaluations on the stack, innermost last, by id: evaluate(),
   /// evaluate_script(), and the script blocks and functions they run. A
@@ -279,8 +339,15 @@ class Interpreter {
   std::map<std::string, Value> globals_;
   std::map<std::string, std::string> env_;  ///< script writes: lowercase name -> value
   std::map<std::string, std::string> virtual_fs_;  ///< lowercase path -> content
+  /// A virtual file's content (Get-Content, [IO.File]::ReadAll*): a file
+  /// this interpreter never wrote is EvalError in strict mode, empty
+  /// otherwise.
+  std::string read_virtual_file(const std::string& path) const;
   std::map<std::string, FunctionInfo> functions_;
   std::map<std::string, std::string> user_aliases_;
+  /// Get-Random's generator: each interpreter draws from its own, seeded
+  /// alike, so a draw depends on the evaluation alone.
+  std::uint64_t rng_;
 
   /// A `$env:` read: the script's own writes first, then the shared
   /// defaults. Null when neither has the (lowercase) name.
@@ -358,6 +425,16 @@ enum class AutomaticVariable { None, Constant, PreferenceDefault };
 AutomaticVariable automatic_variable(std::string_view bare_lower);
 /// The value of an automatic variable (automatic_variable() != None).
 Value automatic_variable_value(std::string_view bare_lower);
+
+/// The blocklist key a member call is checked under: `webclient.<member>`
+/// on a WebClient; empty for a call the filter never sees. `member_lower`
+/// is lowercase. The member dispatch checks it, and refusal() reads it.
+std::string instance_block_key(const PsObject& target,
+                               std::string_view member_lower);
+/// The same for a static call on the type whose normalize_type_name() form
+/// is `type_key`: `io.file.<member>` on [IO.File].
+std::string static_block_key(std::string_view type_key,
+                             std::string_view member_lower);
 
 /// Command parameters that never consume a following argument.
 bool is_switch_parameter(const std::string& lower);

@@ -68,6 +68,18 @@ std::string extract_host(const std::string& url) {
 
 }  // namespace
 
+std::string instance_block_key(const PsObject& target,
+                               std::string_view member_lower) {
+  if (dynamic_cast<const WebClientObject*>(&target) == nullptr) return {};
+  return "webclient." + std::string(member_lower);
+}
+
+std::string static_block_key(std::string_view type_key,
+                             std::string_view member_lower) {
+  if (type_key != "io.file" && type_key != "file") return {};
+  return "io.file." + std::string(member_lower);
+}
+
 void Interpreter::record_network_for_url(const std::string& url) {
   if (opts_.recorder == nullptr) return;
   const std::string host = extract_host(url);
@@ -330,6 +342,7 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
       std::vector<Value> out;
       scopes_.emplace_back();
       scopes_.back().vars["args"] = Value(Array(args.begin(), args.end()));
+      note_write();
       try {
         invoke_scriptblock(target.get_scriptblock(), {}, false, out);
       } catch (...) {
@@ -408,10 +421,8 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
   // --- objects ---
   if (target.is_object()) {
     const auto& obj = target.get_object();
-    if (auto* wc = dynamic_cast<WebClientObject*>(obj.get())) {
-      (void)wc;
-      const std::string lower_member = m;
-      check_blocked("webclient." + lower_member);
+    if (dynamic_cast<WebClientObject*>(obj.get()) != nullptr) {
+      check_blocked(instance_block_key(*obj, m));
       if (m == "downloadstring") {
         const std::string url = args.empty() ? "" : args[0].to_display_string();
         return Value(simulated_download(url));
@@ -443,12 +454,14 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
     if (auto* ms = dynamic_cast<MemoryStreamObject*>(obj.get())) {
       if (m == "toarray") return Value(Bytes(ms->data));
       if (m == "seek") {
+        note_write();
         ms->position = static_cast<std::size_t>(
             args.empty() ? 0 : need_int(args[0], "Seek"));
         return Value(static_cast<std::int64_t>(ms->position));
       }
       if (m == "close" || m == "dispose" || m == "flush") return Value();
       if (m == "write") {
+        note_write();
         if (!args.empty()) {
           const Bytes b = need_bytes(args[0]);
           ms->data.insert(ms->data.end(), b.begin(), b.end());
@@ -463,6 +476,7 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
         if (dest == nullptr) throw EvalError("CopyTo target must be a MemoryStream");
         const auto plain = inflate(ds->inner->data);
         if (!plain) throw EvalError("invalid deflate stream");
+        note_write();
         dest->data.insert(dest->data.end(), plain->begin(), plain->end());
         return Value();
       }
@@ -497,6 +511,7 @@ Value Interpreter::instance_invoke(const Value& target, const std::string& membe
           lo = need_int(args[0], "Next");
           hi = need_int(args[1], "Next");
         }
+        note_write();
         return Value(rnd->next(lo, hi));
       }
     }
@@ -709,6 +724,7 @@ Value Interpreter::static_invoke(const std::string& type_name,
     if (m == "reverse") {
       if (args.empty() || !args[0].is_array()) throw EvalError("Array.Reverse needs an array");
       Value copy = args[0];
+      note_write();
       std::reverse(copy.get_array().begin(), copy.get_array().end());
       // .NET reverses in place; shared_ptr semantics make this visible to
       // the caller's variable as well.
@@ -862,16 +878,13 @@ Value Interpreter::static_invoke(const std::string& type_name,
   }
 
   if (t == "io.file" || t == "file") {
-    check_blocked("io.file." + m);
+    check_blocked(static_block_key(t, m));
     if (m == "readalltext" || m == "readallbytes") {
       if (opts_.recorder != nullptr && !args.empty()) {
         opts_.recorder->on_file("read", args[0].to_display_string());
       }
-      std::string content;
-      if (!args.empty()) {
-        auto it = virtual_fs_.find(to_lower(args[0].to_display_string()));
-        if (it != virtual_fs_.end()) content = it->second;
-      }
+      std::string content =
+          read_virtual_file(args.empty() ? "" : args[0].to_display_string());
       if (m == "readallbytes") {
         return Value(Bytes(content.begin(), content.end()));
       }
@@ -889,6 +902,7 @@ Value Interpreter::static_invoke(const std::string& type_name,
           }
         }
         virtual_fs_[to_lower(args[0].to_display_string())] = std::move(content);
+        note_write();
         if (opts_.recorder != nullptr) {
           opts_.recorder->on_file("write", args[0].to_display_string());
         }

@@ -91,19 +91,29 @@ class EncodingObject final : public PsObject {
   TextEncoding enc;
 };
 
+/// The seed of System.Random without one, and of each interpreter's
+/// Get-Random (reproducible runs).
+constexpr std::uint64_t kDefaultRandomSeed = 0x9E3779B97F4A7C15ull;
+
+/// One draw in [lo, hi) from an LCG `state`, which it advances.
+inline std::int64_t random_next(std::uint64_t& state, std::int64_t lo,
+                                std::int64_t hi) {
+  state = state * 6364136223846793005ull + 1442695040888963407ull;
+  const std::uint64_t x = state >> 17;
+  if (hi <= lo) return lo;
+  return lo + static_cast<std::int64_t>(
+                  x % static_cast<std::uint64_t>(hi - lo));
+}
+
 /// System.Random with a deterministic default seed (reproducible runs).
 class RandomObject final : public PsObject {
  public:
-  explicit RandomObject(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : state(seed) {}
+  explicit RandomObject(std::uint64_t seed = kDefaultRandomSeed) : state(seed) {}
   [[nodiscard]] std::string type_name() const override { return "System.Random"; }
   std::uint64_t state;
 
   std::int64_t next(std::int64_t lo, std::int64_t hi) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t x = state >> 17;
-    if (hi <= lo) return lo;
-    return lo + static_cast<std::int64_t>(
-                    x % static_cast<std::uint64_t>(hi - lo));
+    return random_next(state, lo, hi);
   }
 };
 

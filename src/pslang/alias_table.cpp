@@ -137,7 +137,7 @@ AliasTable::AliasTable() {
   };
 
   // Canonical cmdlets with no alias that is_known_cmdlet must still accept.
-  known_extra_ = {
+  known_cmdlets_ = {
       "invoke-expression", "write-host",       "write-output",
       "new-object",        "start-sleep",      "start-process",
       "invoke-webrequest", "invoke-restmethod", "set-content",
@@ -156,6 +156,10 @@ AliasTable::AliasTable() {
       "pwsh",              "cmd",              "cmd.exe",
       "mkdir",             "invoke-command",
   };
+  for (const auto& [alias, cmdlet] : entries_) {
+    by_alias_.emplace(to_lower(alias), cmdlet);  // the first entry wins
+    known_cmdlets_.insert(to_lower(cmdlet));
+  }
 }
 
 const AliasTable& AliasTable::standard() {
@@ -164,10 +168,9 @@ const AliasTable& AliasTable::standard() {
 }
 
 std::optional<std::string> AliasTable::resolve(std::string_view alias) const {
-  for (const auto& [a, c] : entries_) {
-    if (iequals(a, alias)) return c;
-  }
-  return std::nullopt;
+  const auto it = by_alias_.find(to_lower(alias));
+  if (it == by_alias_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<std::string> AliasTable::alias_for(std::string_view cmdlet) const {
@@ -181,14 +184,7 @@ std::optional<std::string> AliasTable::alias_for(std::string_view cmdlet) const 
 }
 
 bool AliasTable::is_known_cmdlet(std::string_view name) const {
-  const std::string lower = to_lower(name);
-  for (const auto& extra : known_extra_) {
-    if (extra == lower) return true;
-  }
-  for (const auto& [a, c] : entries_) {
-    if (iequals(c, name)) return true;
-  }
-  return false;
+  return known_cmdlets_.count(to_lower(name)) != 0;
 }
 
 }  // namespace ps

@@ -8,6 +8,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace ps {
@@ -36,7 +38,10 @@ class AliasTable {
  private:
   AliasTable();
   std::vector<std::pair<std::string, std::string>> entries_;
-  std::vector<std::string> known_extra_;
+  /// Lowercase alias -> its first entry's cmdlet: resolve() is one lookup.
+  std::unordered_map<std::string, std::string> by_alias_;
+  /// Lowercase canonical cmdlet names, aliased or not.
+  std::unordered_set<std::string> known_cmdlets_;
 };
 
 /// ASCII-lowercases a string (PowerShell identifiers are case-insensitive).

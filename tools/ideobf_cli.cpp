@@ -202,6 +202,15 @@ void print_cache_stats(std::ostream& os, int memo_hits, int memo_misses) {
      << "\n";
 }
 
+/// `--stats` piece-evaluation summary: how the recovery ladder evaluated
+/// pieces, summed over the reports.
+void print_piece_stats(std::ostream& os, const ideobf::RecoveryStats& r) {
+  os << "# recovery-pieces: folded=" << r.pieces_folded
+     << " walked=" << r.treewalk_fallbacks << " refused=" << r.pieces_refused
+     << " bound=" << r.pieces_bound << " thrown=" << r.pieces_thrown
+     << " failed=" << r.pieces_failed << "\n";
+}
+
 int cmd_deobf(const std::string& path, bool trace_functions,
               double deadline_seconds, const std::string& language,
               TelemetrySession& tel) {
@@ -228,6 +237,7 @@ int cmd_deobf(const std::string& path, bool trace_functions,
   if (tel.stats) {
     print_cache_stats(std::cerr, report.recovery.memo_hits,
                       report.recovery.memo_misses);
+    print_piece_stats(std::cerr, report.recovery);
     print_profile(std::cerr, report.profile);
   }
   tel.finish();
@@ -328,8 +338,19 @@ int cmd_batch(const std::string& dir, unsigned threads,
     const int memo_misses = static_cast<int>(
         reg.counter("ideobf_recovery_memo_miss_total").value());
     print_cache_stats(std::cerr, memo_hits, memo_misses);
+    ideobf::RecoveryStats pieces;
     ideobf::telemetry::PipelineProfile profile;
-    for (const ideobf::Response& r : responses) profile.merge(r.report.profile);
+    for (const ideobf::Response& r : responses) {
+      const ideobf::RecoveryStats& rec = r.report.recovery;
+      pieces.pieces_folded += rec.pieces_folded;
+      pieces.treewalk_fallbacks += rec.treewalk_fallbacks;
+      pieces.pieces_refused += rec.pieces_refused;
+      pieces.pieces_bound += rec.pieces_bound;
+      pieces.pieces_thrown += rec.pieces_thrown;
+      pieces.pieces_failed += rec.pieces_failed;
+      profile.merge(r.report.profile);
+    }
+    print_piece_stats(std::cerr, pieces);
     print_profile(std::cerr, profile);
   }
   tel.finish();
