@@ -93,20 +93,19 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// One-shot: deobfuscate one request (thread-safe).
-  [[nodiscard]] Response handle(const Request& request) const;
-
-  /// Like handle(request), but `limits` wholesale replaces the execution
-  /// envelope the request would otherwise run under (deadline, budget,
-  /// degradation, cancellation token). This is how the server threads a
-  /// per-request deadline and a client-disconnect cancellation token into
-  /// the governor without re-configuring the pipeline.
+  /// One-shot: deobfuscate one request (thread-safe). `cancel` is the
+  /// caller's own cancellation token for this call (the server passes the
+  /// client connection's); a valid token makes the call governed. A governed
+  /// call with a deadline is watched by the engine's one watchdog, which
+  /// hard-cancels it past deadline x max(1, watchdog_factor) and passes on
+  /// the engine-wide token (options().limits.cancel), the request's own and
+  /// `cancel`.
   [[nodiscard]] Response handle(const Request& request,
-                                const Options::Limits& limits) const;
+                                CancellationToken cancel = {}) const;
 
   /// Batch: deobfuscate every request on the process-lifetime worker pool,
-  /// preserving order. Per-request deadlines/options are honored item by
-  /// item; concurrency comes from options().threads.
+  /// preserving order. Each item runs as handle(item) would; concurrency
+  /// comes from options().threads.
   [[nodiscard]] std::vector<Response> handle_batch(
       const std::vector<Request>& requests) const;
 

@@ -77,6 +77,9 @@ class CancellationToken {
   [[nodiscard]] bool cancelled() const {
     return state_ != nullptr && state_->load(std::memory_order_relaxed);
   }
+  /// Two tokens are equal when they share one flag (inert tokens compare
+  /// equal to each other).
+  bool operator==(const CancellationToken&) const = default;
 
  private:
   std::shared_ptr<std::atomic<bool>> state_;

@@ -1,16 +1,19 @@
 #include "ideobf/api.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
 #include "core/deobfuscator.h"
 #include "core/failure.h"
+#include "frontends/registry.h"
 #include "psvalue/worker_pool.h"
 
 namespace ideobf {
@@ -65,9 +68,9 @@ Response handle_one(const InvokeDeobfuscator& deobf, const Request& request,
     if (pipeline) custom.emplace(std::move(*pipeline));
     const InvokeDeobfuscator& engine = custom ? *custom : deobf;
     response.language =
-        std::string(engine.resolve_language(request.language, request.source));
+        std::string(resolve_language(request.language, request.source));
     response.result = engine.deobfuscate(request.source, response.report,
-                                         limits, request.language);
+                                         limits, response.language);
   } catch (...) {
     // Ungoverned calls (no active envelope) can propagate pipeline
     // exceptions; the API contract is total, so seal them here.
@@ -87,14 +90,6 @@ Response handle_one(const InvokeDeobfuscator& deobf, const Request& request,
   return response;
 }
 
-/// Watchdog view of one in-flight batch item. `start` is written before the
-/// release-store to `running`, so the watchdog's acquire-load sees a
-/// coherent start time.
-struct ItemState {
-  std::atomic<bool> running{false};
-  clock_t_::time_point start{};
-};
-
 telemetry::Counter& batch_item_counter() {
   static auto& c = telemetry::registry().counter("ideobf_batch_item_total");
   return c;
@@ -109,19 +104,162 @@ telemetry::Counter& batch_item_degraded_counter() {
       telemetry::registry().counter("ideobf_batch_item_degraded_total");
   return c;
 }
-telemetry::Counter& watchdog_cancel_counter() {
-  static auto& c =
-      telemetry::registry().counter("ideobf_watchdog_cancel_total");
+telemetry::Counter& deadline_cancel_counter() {
+  static auto& c = telemetry::registry().counter(
+      "ideobf_watchdog_cancel_total", "source=\"deadline\"");
   return c;
 }
+
+/// The engine's one watchdog. A governed call that has a deadline, or more
+/// than one token to inherit, runs under a private token and is registered
+/// here while it runs. The watchdog cancels that token once the call runs
+/// past deadline x max(1, watchdog_factor), so a call wedged between budget
+/// checkpoints stalls neither its thread nor its batch, and passes the
+/// call's inherited tokens on to it. It cancels no other token. Its thread
+/// starts at the first registration and sleeps while nothing is watched.
+class Watchdog {
+ public:
+  Watchdog() = default;
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  /// One watched call.
+  struct Call {
+    /// The call's private token: the only token the watchdog cancels.
+    CancellationToken own;
+    /// Tokens whose cancellation passes on to `own` (inert slots unused).
+    std::array<CancellationToken, 3> inherited;
+    /// When `own` is cancelled; time_point::max() without a deadline.
+    clock_t_::time_point kill_at;
+    /// How often the call needs a look.
+    clock_t_::duration period;
+  };
+
+  /// Unregisters its call when it goes out of scope.
+  class Scope {
+   public:
+    Scope(Watchdog& watchdog, std::list<Call>::iterator call)
+        : watchdog_(watchdog), call_(call) {}
+    ~Scope() {
+      std::lock_guard lock(watchdog_.mu_);
+      watchdog_.calls_.erase(call_);
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    Watchdog& watchdog_;
+    std::list<Call>::iterator call_;
+  };
+
+  [[nodiscard]] Scope watch(Call call) {
+    std::lock_guard lock(mu_);
+    const auto it = calls_.insert(calls_.end(), std::move(call));
+    if (!thread_.joinable()) {
+      thread_ = std::jthread([this](std::stop_token stop) { loop(stop); });
+    }
+    // Wake the loop, so a tighter period than the current one applies now.
+    woken_ = true;
+    wake_.notify_one();
+    return Scope(*this, it);
+  }
+
+ private:
+  void loop(const std::stop_token& stop) {
+    std::unique_lock lock(mu_);
+    while (!stop.stop_requested()) {
+      if (calls_.empty()) {
+        wake_.wait(lock, stop, [&] { return !calls_.empty(); });
+        continue;
+      }
+      clock_t_::duration period = std::chrono::milliseconds(50);
+      for (const Call& call : calls_) period = std::min(period, call.period);
+      wake_.wait_for(lock, stop, period,
+                     [&] { return std::exchange(woken_, false); });
+      const auto now = clock_t_::now();
+      for (Call& call : calls_) {
+        if (call.own.cancelled()) continue;
+        if (std::any_of(call.inherited.begin(), call.inherited.end(),
+                        [](const CancellationToken& t) {
+                          return t.cancelled();
+                        })) {
+          call.own.request_cancel();
+        } else if (now >= call.kill_at) {
+          call.own.request_cancel();
+          deadline_cancel_counter().add();
+        }
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable_any wake_;
+  std::list<Call> calls_;
+  bool woken_ = false;
+  std::jthread thread_;  // last: stopped and joined before the rest goes
+};
 
 }  // namespace
 
 struct Engine::Impl {
   explicit Impl(Options opts)
       : options(std::move(opts)), deobf(options) {}
+
+  /// Every entry point's call: resolves the request, picks the token it
+  /// runs under, and watches it while it runs when it needs watching. A
+  /// governed call inherits the engine-wide token, the request's own and
+  /// the caller's; when one is already cancelled the call runs on it, so
+  /// handle_one serves passthrough at once.
+  Response run(const Request& request, const CancellationToken& cancel) const {
+    Resolved resolved = resolve(request, options);
+    Options::Limits& limits = resolved.limits;
+    if (!limits.active() && !cancel.valid()) {
+      return handle_one(deobf, request, std::move(resolved.pipeline), limits);
+    }
+    std::array<CancellationToken, 3> inherited;
+    std::size_t count = 0;
+    for (const CancellationToken& token :
+         {options.limits.cancel, limits.cancel, cancel}) {
+      if (!token.valid() || std::find(inherited.begin(),
+                                      inherited.begin() + count,
+                                      token) != inherited.begin() + count) {
+        continue;
+      }
+      if (token.cancelled()) {
+        limits.cancel = token;
+        return handle_one(deobf, request, std::move(resolved.pipeline),
+                          limits);
+      }
+      inherited[count++] = token;
+    }
+    const double deadline = limits.deadline_seconds;
+    if (deadline <= 0.0 && count <= 1) {
+      // Nothing to watch: the call runs on the one token it inherits.
+      limits.cancel = inherited[0];
+      return handle_one(deobf, request, std::move(resolved.pipeline), limits);
+    }
+    limits.cancel = CancellationToken::make();
+    Watchdog::Call call{limits.cancel, inherited, clock_t_::time_point::max(),
+                        std::chrono::milliseconds(10)};
+    if (deadline > 0.0) {
+      const double limit = deadline * std::max(1.0, limits.watchdog_factor);
+      call.kill_at = clock_t_::now() +
+                     std::chrono::duration_cast<clock_t_::duration>(
+                         std::chrono::duration<double>(limit));
+      // Look often enough for the call's deadline: an eighth of it.
+      call.period = std::chrono::duration_cast<clock_t_::duration>(
+          std::chrono::duration<double>(deadline / 8));
+      call.period = std::clamp<clock_t_::duration>(
+          call.period, std::chrono::milliseconds(1),
+          std::chrono::milliseconds(50));
+    }
+    const Watchdog::Scope scope = watchdog.watch(std::move(call));
+    return handle_one(deobf, request, std::move(resolved.pipeline), limits);
+  }
+
   Options options;
   InvokeDeobfuscator deobf;
+  mutable Watchdog watchdog;
 };
 
 Engine::Engine(Options options)
@@ -132,26 +270,13 @@ Engine& Engine::operator=(Engine&&) noexcept = default;
 
 const Options& Engine::options() const { return impl_->options; }
 
-Response Engine::handle(const Request& request) const {
-  Resolved resolved = resolve(request, impl_->options);
-  return handle_one(impl_->deobf, request, std::move(resolved.pipeline),
-                    resolved.limits);
-}
-
 Response Engine::handle(const Request& request,
-                        const Options::Limits& limits) const {
-  return handle_one(impl_->deobf, request,
-                    resolve(request, impl_->options).pipeline, limits);
+                        CancellationToken cancel) const {
+  return impl_->run(request, cancel);
 }
 
 // Items run on the process-lifetime work-stealing ps::WorkerPool, each
-// through handle_one. A governed item (active envelope) runs under a private
-// cancellation token, and a watchdog thread cancels it once it runs past
-// watchdog_factor x its deadline, so one sample wedged between budget
-// checkpoints stalls neither its worker nor the batch. The watchdog also
-// propagates the batch-wide token (options().limits.cancel) and each
-// request's own token onto the private ones; an item whose token is
-// cancelled before it starts is served as classified passthrough.
+// through the same call as handle(item).
 std::vector<Response> Engine::handle_batch(
     const std::vector<Request>& requests) const {
   const std::size_t n = requests.size();
@@ -159,96 +284,18 @@ std::vector<Response> Engine::handle_batch(
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   threads = std::min<unsigned>(threads, n == 0 ? 1u : n);
 
-  std::vector<Resolved> resolved;
-  resolved.reserve(n);
-  bool governed = false;
-  for (const Request& request : requests) {
-    resolved.push_back(resolve(request, impl_->options));
-    governed = governed || resolved.back().limits.active();
-  }
-  const ps::CancellationToken& batch_cancel = impl_->options.limits.cancel;
-
-  // Private tokens, created before any executor starts so the watchdog
-  // reads them without synchronization; inert for ungoverned items.
-  std::vector<ps::CancellationToken> tokens(governed ? n : 0);
-  std::vector<ItemState> states(governed ? n : 0);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (resolved[i].limits.active()) tokens[i] = ps::CancellationToken::make();
-  }
-
   std::vector<Response> responses(n);
   auto body = [&](std::size_t i, unsigned slot) {
     // Bind this executor to its slot's metric shard (and trace lane): slots
     // are staffed by one thread per job, so shard cells stay uncontended.
     telemetry::set_current_shard(slot);
-    const Resolved& item = resolved[i];
-    const bool item_governed = !tokens.empty() && tokens[i].valid();
-    Options::Limits limits = item.limits;
-    if (item_governed) limits.cancel = tokens[i];
-    if (batch_cancel.cancelled() || item.limits.cancel.cancelled()) {
-      if (!limits.cancel.valid()) limits.cancel = ps::CancellationToken::make();
-      limits.cancel.request_cancel();
-    } else if (item_governed) {
-      states[i].start = clock_t_::now();
-      states[i].running.store(true, std::memory_order_release);
-    }
-    responses[i] = handle_one(impl_->deobf, requests[i], item.pipeline, limits);
-    if (item_governed) states[i].running.store(false, std::memory_order_release);
+    responses[i] = impl_->run(requests[i], {});
     batch_item_counter().add();
     if (!responses[i].ok) batch_item_failed_counter().add();
     if (responses[i].report.degradation_rung > 0) {
       batch_item_degraded_counter().add();
     }
   };
-
-  // jthread joins on destruction, so the watchdog cannot be leaked running
-  // even if this scope unwinds early.
-  std::jthread watchdog;
-  if (governed) {
-    watchdog = std::jthread([&](std::stop_token stop) {
-      // Poll fast enough for the tightest per-item deadline in the batch.
-      double min_deadline = 0.0;
-      for (const Resolved& item : resolved) {
-        const double d = item.limits.deadline_seconds;
-        if (d > 0.0 && (min_deadline == 0.0 || d < min_deadline)) {
-          min_deadline = d;
-        }
-      }
-      const auto period = std::min<std::chrono::milliseconds>(
-          std::chrono::milliseconds(
-              min_deadline > 0.0
-                  ? std::max<long>(1, static_cast<long>(min_deadline * 1000 / 8))
-                  : 10),
-          std::chrono::milliseconds(50));
-      // An interruptible wait: the batch returns as soon as its items are
-      // done, not at the end of the watchdog's current period.
-      std::mutex mu;
-      std::condition_variable_any wake;
-      std::unique_lock lock(mu);
-      while (!wake.wait_for(lock, stop, period,
-                            [&] { return stop.stop_requested(); })) {
-        const bool all_cancelled = batch_cancel.cancelled();
-        const auto now = clock_t_::now();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!states[i].running.load(std::memory_order_acquire)) continue;
-          const Options::Limits& limits = resolved[i].limits;
-          if (all_cancelled || limits.cancel.cancelled()) {
-            tokens[i].request_cancel();
-            continue;
-          }
-          if (limits.deadline_seconds <= 0.0) continue;
-          const double limit =
-              limits.deadline_seconds * std::max(1.0, limits.watchdog_factor);
-          const double elapsed =
-              std::chrono::duration<double>(now - states[i].start).count();
-          if (elapsed > limit && !tokens[i].cancelled()) {
-            tokens[i].request_cancel();
-            watchdog_cancel_counter().add();
-          }
-        }
-      }
-    });
-  }
   // The calling thread participates; threads == 1 runs entirely on it.
   ps::WorkerPool::instance().parallel(n, threads, body);
   return responses;

@@ -137,18 +137,7 @@ const LanguageFrontend* InvokeDeobfuscator::frontend(
 
 std::string_view InvokeDeobfuscator::resolve_language(
     std::string_view language, std::string_view source) const {
-  if (language.empty()) return kDefaultLanguage;
-  if (language != kAutoLanguage) return language;
-  const LanguageFrontend* best = nullptr;
-  double best_score = -1.0;
-  for (const auto& fe : frontends_) {
-    const double score = fe->sniff(source);
-    if (score > best_score) {  // ties resolve to registration order
-      best = fe.get();
-      best_score = score;
-    }
-  }
-  return best != nullptr ? best->name() : kDefaultLanguage;
+  return ideobf::resolve_language(language, source);
 }
 
 std::string InvokeDeobfuscator::deobfuscate(std::string_view script) const {
@@ -183,7 +172,7 @@ Options InvokeDeobfuscator::rung_options(int rung) const {
 std::string InvokeDeobfuscator::deobfuscate(
     std::string_view script, DeobfuscationReport& report,
     const Options::Limits& limits, std::string_view language) const {
-  const std::string_view resolved = resolve_language(language, script);
+  const std::string_view resolved = ideobf::resolve_language(language, script);
   const LanguageFrontend* fe = frontend(resolved);
   frontend_request_counter(fe != nullptr ? fe->name() : "unknown").add();
   if (fe == nullptr) {

@@ -46,9 +46,9 @@ class InvokeDeobfuscator {
   [[nodiscard]] std::string deobfuscate(std::string_view script) const;
   [[nodiscard]] std::string deobfuscate(std::string_view script,
                                         DeobfuscationReport& report) const;
-  /// Per-call envelope override (how Engine::handle_batch and the server give
-  /// every item its own deadline and cancellation token). Only the
-  /// *envelope* fields of `limits` apply per call — deadline_seconds,
+  /// Per-call envelope override (how Engine gives every request its own
+  /// deadline and cancellation token). Only the *envelope* fields of
+  /// `limits` apply per call — deadline_seconds,
   /// memory_budget_bytes, degrade, cancel; the per-piece caps (max_layers,
   /// max_steps_per_piece, max_piece_size) always come from the configured
   /// options(), so two requests against one engine run the same pipeline
@@ -69,11 +69,8 @@ class InvokeDeobfuscator {
   [[nodiscard]] const LanguageFrontend* frontend(
       std::string_view language) const;
 
-  /// Resolves a request's language field to a concrete front-end name:
-  /// "" -> the default language, "auto" -> the best sniff score over this
-  /// engine's front-ends (ties to the default), anything else verbatim
-  /// (even when unregistered — the caller sees the lookup fail). The
-  /// returned view is static or owned by this engine's front-ends.
+  /// Resolves a request's language field to a concrete front-end name;
+  /// the free ideobf::resolve_language (frontends/registry.h).
   [[nodiscard]] std::string_view resolve_language(
       std::string_view language, std::string_view source) const;
 

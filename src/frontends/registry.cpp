@@ -33,10 +33,12 @@ void FrontendRegistry::register_frontend(std::string name, Factory factory) {
   for (auto& [existing, slot] : entries_) {
     if (existing == name) {
       slot = std::move(factory);
+      sniffers_stale_ = true;
       return;
     }
   }
   entries_.emplace_back(std::move(name), std::move(factory));
+  sniffers_stale_ = true;
 }
 
 bool FrontendRegistry::has(std::string_view name) const {
@@ -75,16 +77,28 @@ bool valid_request_language(std::string_view language) {
          FrontendRegistry::instance().has(language);
 }
 
-std::string_view sniff_language(std::string_view source) {
-  // Front-ends are pure policy, so one default-configured set (no parse
-  // cache — sniffing never parses) scores sources for every caller.
-  // Snapshot at first use; process-lifetime.
-  static const auto* sniffers =
-      new std::vector<std::shared_ptr<const LanguageFrontend>>(
-          FrontendRegistry::instance().create_all(Options{}));
+const FrontendRegistry::Frontends& FrontendRegistry::sniffers() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (sniffers_stale_) {
+    // Sniffing never parses, so the instances need no parse cache.
+    auto built = std::make_unique<Frontends>();
+    built->reserve(entries_.size());
+    for (const auto& [name, factory] : entries_) {
+      built->push_back(factory(Options{}));
+    }
+    sniffers_.push_back(std::move(built));
+    sniffers_stale_ = false;
+  }
+  return *sniffers_.back();
+}
+
+std::string_view resolve_language(std::string_view language,
+                                  std::string_view source) {
+  if (language.empty()) return kDefaultLanguage;
+  if (language != kAutoLanguage) return language;
   const LanguageFrontend* best = nullptr;
   double best_score = -1.0;
-  for (const auto& frontend : *sniffers) {
+  for (const auto& frontend : FrontendRegistry::instance().sniffers()) {
     const double score = frontend->sniff(source);
     // Strictly greater: registration order (default language first) breaks
     // ties, so ambiguous text stays PowerShell.

@@ -50,20 +50,38 @@ class FrontendRegistry {
   create_all(const Options& options) const;
 
  private:
+  friend std::string_view resolve_language(std::string_view,
+                                           std::string_view);
+  using Frontends = std::vector<std::shared_ptr<const LanguageFrontend>>;
+
   FrontendRegistry();
+  /// Default-configured instances of every registered front-end, built at
+  /// first use after each registration. Front-ends are pure policy, so one
+  /// set scores sources for every caller.
+  const Frontends& sniffers() const;
+
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, Factory>> entries_;
+  /// Every sniffer set built so far, newest last. Older sets are kept: the
+  /// names resolve_language handed out point into them.
+  mutable std::vector<std::unique_ptr<const Frontends>> sniffers_;
+  mutable bool sniffers_stale_ = true;
 };
 
 /// Whether `language` is acceptable on a request: empty (the default),
 /// "auto", or a registered language name.
 [[nodiscard]] bool valid_request_language(std::string_view language);
 
-/// Resolves "auto" against `source` using lightweight default-configured
-/// front-ends: highest sniff score wins, ties to the default language.
-/// Deterministic per source text — the same bytes always resolve to the
-/// same language, which is what makes "auto" sound as a shared-cache key
-/// component.
-[[nodiscard]] std::string_view sniff_language(std::string_view source);
+/// Resolves a request's language field to a concrete front-end name: ""
+/// -> the default language, "auto" -> the highest sniff score over the
+/// registered front-ends (ties to registration order, so the default
+/// language wins them), anything else verbatim (even when unregistered —
+/// the caller's front-end lookup fails). Deterministic per source text —
+/// the same bytes always resolve to the same language, which is what makes
+/// "auto" sound as a shared-cache key component. The engine and the
+/// server's cache key both resolve through here. A sniffed or defaulted
+/// name lives for the process; a verbatim one views `language`.
+[[nodiscard]] std::string_view resolve_language(std::string_view language,
+                                                std::string_view source);
 
 }  // namespace ideobf

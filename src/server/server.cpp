@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,16 +81,6 @@ std::string hash_hex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return std::string(buf, 16);
-}
-
-/// Resolves a request's language field the way the engine will (""
-/// defaults, "auto" sniffs — deterministic per source bytes, so it is
-/// sound as a cache-key component).
-std::string_view resolved_cache_language(std::string_view language,
-                                         std::string_view source) {
-  if (language.empty()) return kDefaultLanguage;
-  if (language == kAutoLanguage) return sniff_language(source);
-  return language;
 }
 
 }  // namespace
@@ -349,8 +338,8 @@ struct Server::Impl {
             "ideobf_server_connections_total")),
         c_disconnect_cancel(&telemetry::registry().counter(
             "ideobf_server_disconnect_cancel_total")),
-        c_watchdog_cancel(&telemetry::registry().counter(
-            "ideobf_server_watchdog_cancel_total")),
+        c_drain_cancel(&telemetry::registry().counter(
+            "ideobf_watchdog_cancel_total", "source=\"drain\"")),
         c_epoll_wakeups(&telemetry::registry().counter(
             "ideobf_server_epoll_wakeups_total")),
         c_idle_reaped(&telemetry::registry().counter(
@@ -403,7 +392,7 @@ struct Server::Impl {
   telemetry::Counter* c_shutting_down;
   telemetry::Counter* c_connections;
   telemetry::Counter* c_disconnect_cancel;
-  telemetry::Counter* c_watchdog_cancel;
+  telemetry::Counter* c_drain_cancel;
   telemetry::Counter* c_epoll_wakeups;
   telemetry::Counter* c_idle_reaped;
   telemetry::Counter* c_stall_reaped;
@@ -473,28 +462,16 @@ struct Server::Impl {
 
   std::atomic<bool> started{false};
   std::atomic<bool> stop_requested{false};
-  std::atomic<bool> drain_expired{false};
   /// Set by wait() after the workers drained: the loop's only remaining job
   /// is flushing buffered responses, then it exits.
   std::atomic<bool> finalize_requested{false};
-  steady::time_point drain_started{};
   std::mutex stop_mu;
   std::condition_variable stop_cv;
   std::mutex teardown_mu;
   bool torn_down = false;
 
-  // Deadline watchdog registry: one entry per executing request.
-  struct WatchEntry {
-    CancellationToken token;
-    steady::time_point kill_at{};
-    bool has_deadline = false;
-  };
-  std::mutex watch_mu;
-  std::list<WatchEntry> watching;
-
   std::jthread io_thread;
   std::jthread driver_thread;
-  std::jthread watchdog_thread;
 
   [[nodiscard]] bool on_loop_thread() const {
     return std::this_thread::get_id() == io_thread.get_id();
@@ -717,8 +694,8 @@ struct Server::Impl {
           item.request.source,
           options_fingerprint(cfg.options, item.request.deadline_ms,
                               blocklist,
-                              resolved_cache_language(item.request.language,
-                                                      item.request.source)));
+                              resolve_language(item.request.language,
+                                               item.request.source)));
       const std::uint64_t t0 = telemetry::now_ns();
       const std::uint64_t corrupt_before = cache->stats().corrupt;
       std::string cached;
@@ -881,44 +858,6 @@ struct Server::Impl {
     reply(conn, w.str());
   }
 
-  /// The envelope this item runs under: the request's own limits (or the
-  /// server's), the effective deadline, and the per-item cancellation token
-  /// that the client's disconnect / the watchdog can fire.
-  Options::Limits envelope_of(const QueueItem& item) const {
-    Options::Limits lim = item.request.options.has_value()
-                              ? item.request.options->limits
-                              : cfg.options.limits;
-    std::uint64_t deadline_ms = item.request.deadline_ms != 0
-                                    ? item.request.deadline_ms
-                                    : cfg.default_deadline_ms;
-    if (deadline_ms != 0) {
-      lim.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-    }
-    lim.cancel = item.token;
-    return lim;
-  }
-
-  std::list<WatchEntry>::iterator watch(const QueueItem& item,
-                                        const Options::Limits& lim) {
-    WatchEntry entry;
-    entry.token = item.token;
-    entry.has_deadline = lim.deadline_seconds > 0.0;
-    if (entry.has_deadline) {
-      double factor = std::max(1.0, lim.watchdog_factor);
-      entry.kill_at = steady::now() +
-                      std::chrono::duration_cast<steady::duration>(
-                          std::chrono::duration<double>(
-                              lim.deadline_seconds * factor));
-    }
-    std::lock_guard lk(watch_mu);
-    return watching.insert(watching.end(), std::move(entry));
-  }
-
-  void unwatch(std::list<WatchEntry>::iterator it) {
-    std::lock_guard lk(watch_mu);
-    watching.erase(it);
-  }
-
   /// Journal bookkeeping around a dispatch: one fixed-size record per
   /// worker slot, rewritten in place. The kernel page cache makes the
   /// record survive this process's death (no fsync needed — the record only
@@ -980,16 +919,6 @@ struct Server::Impl {
       item.conn->remove_token(item.token_id);
       return;
     }
-    if (drain_expired.load(std::memory_order_relaxed) &&
-        !item.token.cancelled()) {
-      // Drain grace exhausted: queued work is cancelled up front and runs
-      // straight to passthrough.
-      item.token.request_cancel();
-      stats.watchdog_cancelled_total.fetch_add(1, std::memory_order_relaxed);
-      c_watchdog_cancel->add();
-    }
-    const Options::Limits lim = envelope_of(item);
-    auto watch_it = watch(item, lim);
     // Flight record + journal record must both cover every instruction that
     // touches the request — including the injected crash below, which is
     // exactly the spot a hostile script would take the process down for
@@ -1007,13 +936,12 @@ struct Server::Impl {
       cfg.server_fault->inject(FaultSite::WorkerAbort, &item.request.source);
       cfg.server_fault->inject(FaultSite::WorkerHang, &item.request.source);
     }
-    Response response = engine.handle(item.request, lim);
+    Response response = engine.handle(item.request, item.token);
     journal_done(slot);
     flight.finish(flight_seq, status_of(response),
                   response.report.profile.total_seconds(
                       telemetry::Phase::Pipeline),
                   response.seconds, response.report.profile);
-    unwatch(watch_it);
     item.conn->remove_token(item.token_id);
 
     // Publish cacheable full-strength responses for the whole fleet. The
@@ -1272,6 +1200,20 @@ struct Server::Impl {
     for (const auto& [conn, reason] : victims) reap_conn(conn, reason);
   }
 
+  /// Cancels every connection's outstanding requests, queued ones included:
+  /// their tokens are registered at admission. Run by the periodic pass
+  /// once a graceful drain has lasted drain_grace_seconds. Loop-thread-only.
+  void cancel_past_drain_grace() {
+    for (const auto& [fd, conn] : conns) {
+      const std::size_t cancelled = conn->cancel_all();
+      if (cancelled > 0) {
+        stats.watchdog_cancelled_total.fetch_add(cancelled,
+                                                 std::memory_order_relaxed);
+        c_drain_cancel->add(cancelled);
+      }
+    }
+  }
+
   void close_listeners() {
     if (unix_fd >= 0) {
       ep->del(unix_fd);
@@ -1294,6 +1236,7 @@ struct Server::Impl {
     std::vector<epoll_event> events(128);
     steady::time_point next_scan = steady::now();
     steady::time_point finalize_deadline{};
+    steady::time_point drain_cancel_at = steady::time_point::max();
     bool listeners_open = true;
     bool finalizing = false;
     for (;;) {
@@ -1301,6 +1244,11 @@ struct Server::Impl {
       if (listeners_open && stop_requested.load(std::memory_order_relaxed)) {
         close_listeners();
         listeners_open = false;
+        if (cfg.drain_grace_seconds > 0.0) {
+          drain_cancel_at = now + std::chrono::duration_cast<steady::duration>(
+                                      std::chrono::duration<double>(
+                                          cfg.drain_grace_seconds));
+        }
       }
       if (!finalizing && finalize_requested.load(std::memory_order_acquire)) {
         // Workers are done; every response is buffered. Flush what the
@@ -1379,6 +1327,7 @@ struct Server::Impl {
       drain_completions();
       if (now >= next_scan) {
         scan_timeouts(now);
+        if (now >= drain_cancel_at) cancel_past_drain_grace();
         next_scan = now + std::chrono::milliseconds(100);
       }
     }
@@ -1476,48 +1425,15 @@ struct Server::Impl {
     }
   }
 
-  void watchdog_loop(const std::stop_token& st) {
-    std::mutex m;
-    std::condition_variable_any cv;
-    while (!st.stop_requested()) {
-      {
-        std::unique_lock lk(m);
-        cv.wait_for(lk, st, std::chrono::milliseconds(50),
-                    [] { return false; });
-      }
-      if (st.stop_requested()) break;
-      const steady::time_point now = steady::now();
-      bool drain_kill = false;
-      if (stop_requested.load(std::memory_order_relaxed) &&
-          cfg.drain_grace_seconds > 0.0) {
-        drain_kill = now >= drain_started +
-                                std::chrono::duration_cast<steady::duration>(
-                                    std::chrono::duration<double>(
-                                        cfg.drain_grace_seconds));
-        if (drain_kill) drain_expired.store(true, std::memory_order_relaxed);
-      }
-      std::lock_guard lk(watch_mu);
-      for (WatchEntry& entry : watching) {
-        const bool expired =
-            drain_kill || (entry.has_deadline && now >= entry.kill_at);
-        if (expired && !entry.token.cancelled()) {
-          entry.token.request_cancel();
-          stats.watchdog_cancelled_total.fetch_add(1,
-                                                   std::memory_order_relaxed);
-          c_watchdog_cancel->add();
-        }
-      }
-    }
-  }
-
   // --- lifecycle -----------------------------------------------------------
 
   void request_stop() {
     bool expected = false;
     if (!stop_requested.compare_exchange_strong(expected, true)) return;
     {
+      // Taken so that wait() cannot miss the notify between its check and
+      // its sleep.
       std::lock_guard lk(stop_mu);
-      drain_started = steady::now();
     }
     stop_cv.notify_all();
     if (pipe_w >= 0) {
@@ -1638,8 +1554,6 @@ void Server::start() {
   // worker_count() + 1 concurrent loops; more would just idle in the queue.
   threads = std::min(threads, ps::WorkerPool::instance().worker_count() + 1);
 
-  s.watchdog_thread =
-      std::jthread([&s](const std::stop_token& st) { s.watchdog_loop(st); });
   s.driver_thread = std::jthread([&s, threads] {
     ps::WorkerPool::instance().parallel(
         threads, threads,
@@ -1671,8 +1585,6 @@ void Server::wait() {
   s.finalize_requested.store(true, std::memory_order_release);
   s.ring_doorbell();
   if (s.io_thread.joinable()) s.io_thread.join();
-  s.watchdog_thread.request_stop();
-  if (s.watchdog_thread.joinable()) s.watchdog_thread.join();
   // Flush the observability tail: the full Chrome trace to --trace-out and
   // one last snapshot so terminal request totals survive this process.
   if (s.trace_recorder != nullptr) {

@@ -22,14 +22,17 @@
 ///    binding its telemetry shard and calling the one shared Engine (every
 ///    request's pipeline run owns its piece memo and parse table, so no
 ///    response depends on an earlier one);
-///  - per-request envelopes: deadline_ms and a per-item cancellation token
-///    thread straight into the governor via
-///    Engine::handle(request, limits). A client that disconnects
-///    cancels its own in-flight work; a watchdog backstops runaway items at
-///    deadline * watchdog_factor;
+///  - per-request envelopes: a worker calls Engine::handle(request, token)
+///    with the request's own cancellation token, registered on its
+///    connection at admission. The engine resolves the request's limits
+///    (admission fills in default_deadline_ms when the request names no
+///    deadline_ms), and the engine's watchdog backstops a runaway call at
+///    deadline * watchdog_factor. A client that disconnects cancels its own
+///    queued and in-flight work;
 ///  - graceful drain: SIGTERM/shutdown-op stops accepting, serves
-///    everything queued and in flight (bounded by drain_grace_seconds,
-///    after which remaining work is cancelled), then exits.
+///    everything queued and in flight, then exits. Once drain_grace_seconds
+///    have passed, the event loop's periodic pass cancels every
+///    connection's outstanding request tokens.
 ///
 /// Protocol: src/server/protocol.h; worked examples: docs/SERVER.md.
 
@@ -63,12 +66,12 @@ struct ServerConfig {
   /// Engine configuration every request runs under unless it carries its
   /// own `options` object.
   Options options;
-  /// Default per-request deadline in milliseconds applied when a request
-  /// names none (0 = no default; requests run ungoverned unless the
-  /// configured options impose limits).
+  /// Default per-request deadline in milliseconds, filled in at admission
+  /// when a request names none (0 = no default: the configured options'
+  /// deadline, if any, applies). A SIGHUP reload may replace it.
   std::uint64_t default_deadline_ms = 0;
-  /// How long a graceful drain may spend serving in-flight work before the
-  /// watchdog cancels what remains. 0 disables the backstop.
+  /// How long a graceful drain may spend serving queued and in-flight work
+  /// before the event loop cancels what remains. 0 disables the backstop.
   double drain_grace_seconds = 30.0;
   /// Write-stall budget. Responses are buffered per connection and flushed
   /// by the event loop without ever blocking; a client whose buffered
@@ -165,7 +168,9 @@ struct ServerStats {
   std::uint64_t shutting_down_total = 0;
   /// In-flight or queued requests cancelled because their client hung up.
   std::uint64_t disconnect_cancelled_total = 0;
-  /// In-flight requests cancelled by the deadline watchdog backstop.
+  /// Queued or in-flight requests cancelled because a graceful drain ran
+  /// past drain_grace_seconds. Deadline backstop cancels are the engine's
+  /// (ideobf_watchdog_cancel_total{source="deadline"}).
   std::uint64_t watchdog_cancelled_total = 0;
   std::uint64_t queue_depth = 0;
   /// Admission-control refusals (token bucket empty; subset of overloaded).
@@ -200,8 +205,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the listeners and spawns the accept loop, worker slots, and
-  /// watchdog. Throws std::runtime_error when a listener cannot be bound.
+  /// Binds the listeners and spawns the event loop and worker slots.
+  /// Throws std::runtime_error when a listener cannot be bound.
   void start();
 
   /// Initiates a graceful drain (async-signal-safe is NOT guaranteed here;

@@ -73,8 +73,6 @@ constexpr HelpEntry kHelpCatalog[] = {
     {"ideobf_server_requests_total", "Serve requests, by final status."},
     {"ideobf_server_uptime_seconds",
      "Seconds since this server process started."},
-    {"ideobf_server_watchdog_cancel_total",
-     "Requests hard-cancelled by the serve watchdog."},
     {"ideobf_telemetry_deep_spans_total",
      "Spans past the per-thread child-accounting depth."},
     {"ideobf_telemetry_log_dropped_total",
@@ -84,7 +82,7 @@ constexpr HelpEntry kHelpCatalog[] = {
     {"ideobf_telemetry_spans_closed_total", "PhaseSpans closed."},
     {"ideobf_telemetry_spans_opened_total", "PhaseSpans opened."},
     {"ideobf_watchdog_cancel_total",
-     "Items hard-cancelled by the batch watchdog."},
+     "Calls hard-cancelled, by source (deadline watchdog or drain grace)."},
     {"ideobf_worker_id",
      "Constant 1; the worker label names this process's fleet slot."},
 };

@@ -49,8 +49,15 @@ namespace {
 int g_temp_counter = 0;
 
 std::string temp_path(const std::string& stem) {
-  return "/tmp/ideobf-fleet-" + std::to_string(::getpid()) + "-" +
-         std::to_string(g_temp_counter++) + "-" + stem;
+  // The pid alone repeats across runs, and nothing removes these files: the
+  // clock stamp keeps a run from opening a cache file or reading a flight
+  // record that an earlier process with the same pid left behind.
+  static const std::string run =
+      std::to_string(::getpid()) + "-" +
+      std::to_string(
+          std::chrono::steady_clock::now().time_since_epoch().count());
+  return "/tmp/ideobf-fleet-" + run + "-" + std::to_string(g_temp_counter++) +
+         "-" + stem;
 }
 
 std::string temp_dir(const std::string& stem) {
@@ -448,6 +455,47 @@ TEST(FleetServer, SighupReloadsQuarantineAndLimits) {
   EXPECT_TRUE(quarantined);
   EXPECT_GE(server.stats().reloads_total, 1u);
   server.stop();
+}
+
+TEST(FleetServer, SighupReloadOfDefaultDeadlineToZeroLiftsIt) {
+  // Every piece sleeps 0.3 s: past a 100 ms deadline's watchdog limit, but
+  // harmless without a deadline.
+  const std::string sock = temp_path("deadline-reload.sock");
+  const std::string config = temp_path("reload.json");
+  { std::ofstream(config) << "{}\n"; }
+  ideobf::FaultInjector fault;
+  ideobf::FaultSpec spec;
+  spec.action = ideobf::FaultAction::Delay;
+  spec.delay_seconds = 0.3;
+  fault.arm(ideobf::FaultSite::PieceExecution, spec);
+
+  ServerConfig cfg = base_config(sock);
+  cfg.default_deadline_ms = 100;
+  cfg.reload_config_path = config;
+  cfg.options.fault_injector = &fault;
+  Server server(std::move(cfg));
+  server.start();
+  server.install_signal_handlers();
+
+  ServeClient client = ServeClient::connect_unix(sock);
+  const std::string source = "Write-Host ('slow' + 'piece')";
+  const ServeReply before = client.call(deobf_request(source, "before"));
+  EXPECT_NE(before.status, "ok");
+  EXPECT_GE(before.response.report.degradation_rung, 1);
+
+  { std::ofstream(config) << "{\"default_deadline_ms\": 0}\n"; }
+  ::raise(SIGHUP);
+  // The reload is asynchronous (self-pipe -> event loop); wait for it.
+  for (int i = 0; i < 200 && server.stats().reloads_total == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(server.stats().reloads_total, 1u);
+  const ServeReply after = client.call(deobf_request(source, "after"));
+  EXPECT_EQ(after.status, "ok");
+  EXPECT_EQ(after.response.report.degradation_rung, 0);
+  EXPECT_EQ(after.response.failure, FailureKind::None);
+  server.stop();
+  ::unlink(config.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -54,10 +54,10 @@ TEST(FrontendRegistry2, RequestLanguageValidation) {
 }
 
 TEST(FrontendRegistry2, SniffLanguageSeparatesTheBuiltins) {
-  EXPECT_EQ(sniff_language(kPsSample), "powershell");
-  EXPECT_EQ(sniff_language(kJsSample), "javascript");
+  EXPECT_EQ(resolve_language("auto", kPsSample), "powershell");
+  EXPECT_EQ(resolve_language("auto", kJsSample), "javascript");
   // Nothing to go on: ties resolve to the default language.
-  EXPECT_EQ(sniff_language(""), kDefaultLanguage);
+  EXPECT_EQ(resolve_language("auto", ""), kDefaultLanguage);
 }
 
 TEST(FrontendRegistry2, CreateAllInstantiatesEveryFrontend) {

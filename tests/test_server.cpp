@@ -6,14 +6,17 @@
 // detail string shared with the batch watchdog.
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "analysis/json_writer.h"
+#include "core/fault.h"
 #include "corpus/corpus.h"
 #include "gtest/gtest.h"
 #include "ideobf/api.h"
@@ -817,13 +821,80 @@ std::string comparable(const std::string& line) {
   return out;
 }
 
+#ifdef IDEOBF_CLI_PATH
+/// A real `ideobf serve --fleet 2`: a supervisor and two worker processes
+/// sharing one response cache. Stopped with SIGTERM (SIGKILL if it hangs)
+/// on destruction.
+struct CliFleet {
+  pid_t pid = -1;
+  std::string socket_path;
+  std::string state_dir;
+
+  explicit CliFleet(const std::string& name)
+      : socket_path(test_socket(name)),
+        // Stamped, so no state an earlier same-pid run left is reused.
+        state_dir("/tmp/ideobf-test-" + name + "-" +
+                  std::to_string(::getpid()) + "-" +
+                  std::to_string(std::chrono::steady_clock::now()
+                                     .time_since_epoch()
+                                     .count()) +
+                  ".state") {
+    ::mkdir(state_dir.c_str(), 0700);
+    std::vector<std::string> args = {
+        IDEOBF_CLI_PATH, "serve",       "--socket", socket_path,
+        "--fleet",       "2",           "--state-dir", state_dir,
+        "--threads",     "1"};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    pid = ::fork();
+    if (pid == 0) {
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+  }
+
+  CliFleet(const CliFleet&) = delete;
+  CliFleet& operator=(const CliFleet&) = delete;
+
+  ~CliFleet() {
+    if (pid > 0) {
+      ::kill(pid, SIGTERM);
+      bool exited = false;
+      for (int i = 0; i < 300 && !exited; ++i) {
+        exited = ::waitpid(pid, nullptr, WNOHANG) == pid;
+        if (!exited) ::usleep(20 * 1000);
+      }
+      if (!exited) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(state_dir, ec);
+  }
+
+  /// Waits until a worker accepts and answers a readiness probe.
+  [[nodiscard]] bool wait_ready() const {
+    for (int i = 0; i < 400; ++i) {
+      try {
+        if (ServeClient::connect_unix(socket_path).ready()) return true;
+      } catch (const std::exception&) {
+      }
+      ::usleep(50 * 1000);
+    }
+    return false;
+  }
+};
+#endif
+
 TEST(ServerPathEquivalence, ServedLinesMatchInProcessEngine) {
   std::vector<Request> requests;
   ideobf::CorpusGenerator gen(41);
   int n = 0;
   for (const ideobf::Sample& sample : gen.generate_batch(24)) {
     Request request = deobf_request(sample.obfuscated, "c" + std::to_string(n));
-    switch (n++ % 4) {
+    switch (n++ % 6) {
       case 1:
         request.deadline_ms = 30000;
         break;
@@ -836,6 +907,18 @@ TEST(ServerPathEquivalence, ServedLinesMatchInProcessEngine) {
       case 3:
         request.trace = true;
         break;
+      case 4: {
+        ideobf::Options options;
+        options.parse_cache = false;
+        request.options = options;
+        break;
+      }
+      case 5: {
+        ideobf::Options options;
+        options.recovery.memo = false;
+        request.options = options;
+        break;
+      }
       default:
         break;
     }
@@ -860,6 +943,66 @@ TEST(ServerPathEquivalence, ServedLinesMatchInProcessEngine) {
     EXPECT_EQ(comparable(served), in_process) << request.id;
   }
   server.stop();
+
+#ifdef IDEOBF_CLI_PATH
+  // A fleet's shared-cache hit answers as the engine does: each cacheable
+  // request goes twice through a real `--fleet 2`, the second time to be
+  // served from the cache.
+  CliFleet fleet("path-equivalence-fleet");
+  ASSERT_TRUE(fleet.wait_ready());
+  RawConn fleet_conn(fleet.socket_path);
+  int hits = 0;
+  for (const Request& request : requests) {
+    if (request.trace || request.options.has_value()) continue;
+    const std::string in_process = comparable(
+        ideobf::server::render_response_line(engine.handle(request)));
+    for (int pass = 0; pass < 2; ++pass) {
+      fleet_conn.send_line(ideobf::server::render_request_line(request));
+      const std::string served = fleet_conn.recv_line();
+      if (served.find("\"cached\":true") != std::string::npos) ++hits;
+      EXPECT_EQ(comparable(served), in_process)
+          << request.id << " pass " << pass;
+    }
+  }
+  EXPECT_GT(hits, 0);
+#endif
+}
+
+TEST(ServerPathEquivalence, WedgedRequestAnswersAlikeOnEveryPath) {
+  // Every piece sleeps 0.5 s, far past the watchdog's limit (50 ms deadline
+  // x watchdog_factor 2): one-shot, batch and serve all hand the request to
+  // the engine's one watchdog, which cancels it at the same point.
+  ideobf::FaultInjector fault;
+  ideobf::FaultSpec spec;
+  spec.action = ideobf::FaultAction::Delay;
+  spec.delay_seconds = 0.5;
+  fault.arm(ideobf::FaultSite::PieceExecution, spec);
+  ideobf::Options options;
+  options.fault_injector = &fault;
+  const Request request =
+      deobf_request("Write-Host ('wed' + 'ged')", "wedged", 50);
+
+  const ideobf::Engine engine(options);
+  const ideobf::Response one_shot = engine.handle(request);
+  const ideobf::Response batched = engine.handle_batch({request}).front();
+  const std::string sock = test_socket("wedged");
+  ServerConfig cfg = base_config(sock);
+  cfg.options = options;
+  Server server(std::move(cfg));
+  server.start();
+  const ServeReply served = ServeClient::connect_unix(sock).call(request);
+  server.stop();
+
+  EXPECT_EQ(one_shot.failure, FailureKind::Cancelled);
+  EXPECT_EQ(one_shot.report.degradation_rung, 3);
+  EXPECT_EQ(served.status, "failed");
+  for (const ideobf::Response* response : {&batched, &served.response}) {
+    EXPECT_EQ(response->failure, one_shot.failure);
+    EXPECT_EQ(response->failure_detail, one_shot.failure_detail);
+    EXPECT_EQ(response->report.degradation_rung,
+              one_shot.report.degradation_rung);
+    EXPECT_EQ(response->result, one_shot.result);
+  }
 }
 
 // ------------------------------------------------------------ JSON quoting

@@ -34,6 +34,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -212,15 +214,15 @@ void print_piece_stats(std::ostream& os, const ideobf::RecoveryStats& r) {
 }
 
 int cmd_deobf(const std::string& path, bool trace_functions,
-              double deadline_seconds, const std::string& language,
+              std::uint64_t deadline_ms, const std::string& language,
               TelemetrySession& tel) {
   ideobf::Options opts;
   opts.recovery.trace_functions = trace_functions;
-  opts.limits.deadline_seconds = deadline_seconds;
   ideobf::Engine engine(opts);
   ideobf::Request request;
   request.source = read_input(path);
   request.language = language;
+  request.deadline_ms = deadline_ms;
   tel.start();
   const ideobf::Response response = engine.handle(request);
   const ideobf::DeobfuscationReport& report = response.report;
@@ -245,7 +247,7 @@ int cmd_deobf(const std::string& path, bool trace_functions,
 }
 
 int cmd_batch(const std::string& dir, unsigned threads,
-              double deadline_seconds, bool as_json,
+              std::uint64_t deadline_ms, bool as_json,
               const std::string& language, TelemetrySession& tel) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -269,6 +271,7 @@ int cmd_batch(const std::string& dir, unsigned threads,
   for (std::size_t i = 0; i < paths.size(); ++i) {
     requests[i].source = read_input(paths[i]);
     requests[i].id = paths[i];
+    requests[i].deadline_ms = deadline_ms;
     // Explicit --language wins; otherwise the extension picks the front-end
     // (".js" routes to the JavaScript front-end, ".ps1" keeps the default).
     if (!language.empty()) {
@@ -280,7 +283,6 @@ int cmd_batch(const std::string& dir, unsigned threads,
 
   ideobf::Options options;
   options.threads = threads;
-  options.limits.deadline_seconds = deadline_seconds;
   ideobf::Engine engine(options);
   tel.start();
   const auto start = std::chrono::steady_clock::now();
@@ -705,7 +707,7 @@ int main(int argc, char** argv) {
 
   if (cmd == "deobf") {
     bool trace_fn = false;
-    double deadline_seconds = 0.0;
+    std::uint64_t deadline_ms = 0;
     std::string path = "-";
     std::string language;
     TelemetrySession tel;
@@ -713,16 +715,16 @@ int main(int argc, char** argv) {
       const std::string a = argv[i];
       if (a == "--trace-functions") trace_fn = true;
       else if (a == "--deadline-ms" && i + 1 < argc)
-        deadline_seconds = std::atof(argv[++i]) / 1000.0;
+        deadline_ms = std::strtoull(argv[++i], nullptr, 10);
       else if (a == "--language" && i + 1 < argc)
         language = argv[++i];
       else if (!tel.consume(a)) path = a;
     }
-    return cmd_deobf(path, trace_fn, deadline_seconds, language, tel);
+    return cmd_deobf(path, trace_fn, deadline_ms, language, tel);
   }
   if (cmd == "batch") {
     unsigned threads = 0;
-    double deadline_seconds = 0.0;
+    std::uint64_t deadline_ms = 0;
     bool as_json = false;
     std::string dir;
     std::string language;
@@ -732,14 +734,14 @@ int main(int argc, char** argv) {
       if (a == "--threads" && i + 1 < argc)
         threads = static_cast<unsigned>(std::atoi(argv[++i]));
       else if (a == "--deadline-ms" && i + 1 < argc)
-        deadline_seconds = std::atof(argv[++i]) / 1000.0;
+        deadline_ms = std::strtoull(argv[++i], nullptr, 10);
       else if (a == "--language" && i + 1 < argc)
         language = argv[++i];
       else if (a == "--json") as_json = true;
       else if (!tel.consume(a)) dir = a;
     }
     if (dir.empty()) return usage();
-    return cmd_batch(dir, threads, deadline_seconds, as_json, language, tel);
+    return cmd_batch(dir, threads, deadline_ms, as_json, language, tel);
   }
   if (cmd == "serve") return cmd_serve(argc, argv);
   bool as_json = false;
