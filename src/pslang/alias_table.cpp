@@ -158,7 +158,10 @@ AliasTable::AliasTable() {
   };
   for (const auto& [alias, cmdlet] : entries_) {
     by_alias_.emplace(to_lower(alias), cmdlet);  // the first entry wins
-    known_cmdlets_.insert(to_lower(cmdlet));
+    std::string lower_cmdlet = to_lower(cmdlet);
+    const auto [it, fresh] = alias_by_cmdlet_.emplace(lower_cmdlet, alias);
+    if (!fresh && alias.size() < it->second.size()) it->second = alias;
+    known_cmdlets_.insert(std::move(lower_cmdlet));
   }
 }
 
@@ -174,13 +177,9 @@ std::optional<std::string> AliasTable::resolve(std::string_view alias) const {
 }
 
 std::optional<std::string> AliasTable::alias_for(std::string_view cmdlet) const {
-  std::optional<std::string> best;
-  for (const auto& [a, c] : entries_) {
-    if (iequals(c, cmdlet)) {
-      if (!best || a.size() < best->size()) best = a;
-    }
-  }
-  return best;
+  const auto it = alias_by_cmdlet_.find(to_lower(cmdlet));
+  if (it == alias_by_cmdlet_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool AliasTable::is_known_cmdlet(std::string_view name) const {

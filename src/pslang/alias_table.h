@@ -40,6 +40,9 @@ class AliasTable {
   std::vector<std::pair<std::string, std::string>> entries_;
   /// Lowercase alias -> its first entry's cmdlet: resolve() is one lookup.
   std::unordered_map<std::string, std::string> by_alias_;
+  /// Lowercase cmdlet -> its shortest alias (the first in table order among
+  /// equals): alias_for() is one lookup.
+  std::unordered_map<std::string, std::string> alias_by_cmdlet_;
   /// Lowercase canonical cmdlet names, aliased or not.
   std::unordered_set<std::string> known_cmdlets_;
 };

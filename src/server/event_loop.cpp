@@ -81,7 +81,11 @@ void LineAssembler::append(const char* data, std::size_t n) {
   if (overflowed_) return;  // connection is doomed; stop buffering
   // Compact once the consumed prefix dominates, so a long-lived chatty
   // connection does not grow its buffer with dead bytes.
-  if (start_ > 4096 && start_ * 2 >= buf_.size()) {
+  if (start_ == buf_.size()) {
+    buf_.clear();
+    start_ = 0;
+    scan_ = 0;
+  } else if (start_ > 4096 && start_ * 2 >= buf_.size()) {
     buf_.erase(0, start_);
     scan_ -= start_;
     start_ = 0;
@@ -90,8 +94,16 @@ void LineAssembler::append(const char* data, std::size_t n) {
   if (buffered() > max_line_bytes_) overflowed_ = true;
 }
 
-bool LineAssembler::next(std::string& line) {
+bool LineAssembler::next(std::string_view& line) {
   if (overflowed_) return false;
+  // Every line handed out so far is consumed: reuse the buffer from the
+  // front. Done here rather than when the last line is yielded, which would
+  // pull the bytes out from under that line's view.
+  if (start_ == buf_.size()) {
+    buf_.clear();
+    start_ = 0;
+    scan_ = 0;
+  }
   if (scan_ < start_) scan_ = start_;
   const std::size_t pos = buf_.find('\n', scan_);
   if (pos == std::string::npos) {
@@ -100,18 +112,13 @@ bool LineAssembler::next(std::string& line) {
   }
   std::size_t end = pos;
   if (end > start_ && buf_[end - 1] == '\r') --end;
-  line.assign(buf_, start_, end - start_);
+  line = std::string_view(buf_).substr(start_, end - start_);
   start_ = pos + 1;
   scan_ = start_;
-  if (start_ == buf_.size()) {
-    buf_.clear();
-    start_ = 0;
-    scan_ = 0;
-  }
   return true;
 }
 
-void OutputBuffer::append(std::string_view bytes) {
+void OutputBuffer::reclaim() {
   if (offset_ == pending_.size()) {
     pending_.clear();
     offset_ = 0;
@@ -119,6 +126,10 @@ void OutputBuffer::append(std::string_view bytes) {
     pending_.erase(0, offset_);
     offset_ = 0;
   }
+}
+
+void OutputBuffer::append(std::string_view bytes) {
+  reclaim();
   pending_.append(bytes);
 }
 

@@ -50,9 +50,10 @@ class LineAssembler {
 
   void append(const char* data, std::size_t n);
 
-  /// Extracts the next complete line (without '\n', trailing '\r' stripped).
+  /// Yields the next complete line (without '\n', trailing '\r' stripped)
+  /// as a view into the buffer, valid until the next append() or next().
   /// Returns false when no full line is buffered yet.
-  bool next(std::string& line);
+  bool next(std::string_view& line);
 
   [[nodiscard]] bool overflowed() const { return overflowed_; }
   [[nodiscard]] std::size_t buffered() const { return buf_.size() - start_; }
@@ -80,12 +81,25 @@ class OutputBuffer {
   };
 
   void append(std::string_view bytes);
+
+  /// Lets `render(std::string&)` append a reply straight onto the pending
+  /// bytes, so a line assembled from parts needs no staging string.
+  template <typename Render>
+  void append_rendered(Render&& render) {
+    reclaim();
+    render(pending_);
+  }
+
   FlushResult flush(int fd);
 
   [[nodiscard]] bool empty() const { return pending_.size() == offset_; }
   [[nodiscard]] std::size_t bytes() const { return pending_.size() - offset_; }
 
  private:
+  /// Drops flushed bytes ahead of an append (amortized: only once they
+  /// dominate the buffer).
+  void reclaim();
+
   std::string pending_;
   std::size_t offset_ = 0;
 };

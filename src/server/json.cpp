@@ -92,6 +92,15 @@ struct Parser {
     if (!consume('"', "expected string")) return false;
     out.clear();
     while (true) {
+      // Everything up to the next quote, backslash or control character is
+      // copied as one run; only those bytes need a decision.
+      const std::size_t run = pos;
+      while (pos < text.size()) {
+        const auto b = static_cast<unsigned char>(text[pos]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++pos;
+      }
+      out.append(text.data() + run, pos - run);
       if (at_end()) return fail("unterminated string");
       char c = text[pos++];
       if (c == '"') return true;
@@ -129,10 +138,8 @@ struct Parser {
           }
           default: return fail("bad escape");
         }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
       } else {
-        out.push_back(c);
+        return fail("raw control character in string");
       }
     }
   }

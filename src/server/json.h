@@ -7,7 +7,8 @@
 /// per call, hard nesting-depth cap (hostile clients are the normal input
 /// distribution on a malware-triage service), no extensions. Numbers are
 /// surfaced as double; \uXXXX escapes (surrogate pairs included) decode to
-/// UTF-8.
+/// UTF-8. Strings decode by appending whole runs of plain bytes, so a large
+/// `source` costs one scan and a few bulk copies, not a push_back per byte.
 
 #include <cstddef>
 #include <map>
@@ -67,10 +68,22 @@ class JsonValue {
   [[nodiscard]] const Object* as_object() const {
     return std::get_if<Object>(&v_);
   }
+  /// Moves a string value out, leaving this value an empty string; empty
+  /// for non-strings. Lets a reader keep a large member without a copy.
+  [[nodiscard]] std::string take_string() {
+    std::string* s = std::get_if<std::string>(&v_);
+    return s != nullptr ? std::move(*s) : std::string();
+  }
 
   /// Object member lookup; null for non-objects and missing keys.
   [[nodiscard]] const JsonValue* find(std::string_view key) const {
     const Object* obj = as_object();
+    if (obj == nullptr) return nullptr;
+    auto it = obj->find(key);
+    return it != obj->end() ? &it->second : nullptr;
+  }
+  [[nodiscard]] JsonValue* find(std::string_view key) {
+    Object* obj = std::get_if<Object>(&v_);
     if (obj == nullptr) return nullptr;
     auto it = obj->find(key);
     return it != obj->end() ? &it->second : nullptr;

@@ -271,12 +271,13 @@ bool parse_request_line(std::string_view line, WireRequest& out,
   out.op = WireRequest::Op::Deobfuscate;
   out.request = Request{};
   if (!read_string(*doc, "id", out.request.id, error)) return false;
-  const JsonValue* source = doc->find("source");
+  JsonValue* source = doc->find("source");
   if (source == nullptr || !source->is_string()) {
     error = "deobfuscate request needs a string 'source'";
     return false;
   }
-  out.request.source = source->as_string();
+  // The document dies with this call: move the script out, do not copy it.
+  out.request.source = source->take_string();
   if (!read_string(*doc, "language", out.request.language, error)) {
     return false;
   }

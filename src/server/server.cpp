@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -83,23 +84,59 @@ std::string hash_hex(std::uint64_t h) {
   return std::string(buf, 16);
 }
 
-}  // namespace
-
-// Declared in server.h (exposed for the server tests). Two requests whose
-// fingerprints match would produce byte-identical response bodies.
-std::string options_fingerprint(const Options& o, std::uint64_t deadline_ms,
-                                const std::vector<std::string>& blocklist,
-                                std::string_view language) {
+/// options_fingerprint's fixed head: the fields of the server's Options,
+/// each followed by '|'.
+std::string options_fingerprint_head(const Options& o) {
   std::ostringstream fp;
   fp << o.token_pass << '|' << o.ast_recovery << '|' << o.multilayer << '|'
      << o.rename << '|' << o.reformat << '|' << o.parse_cache << '|'
      << o.limits.deadline_seconds << '|' << o.limits.memory_budget_bytes
      << '|' << o.limits.degrade << '|' << o.limits.max_layers << '|'
      << o.limits.max_steps_per_piece << '|' << o.limits.max_piece_size << '|'
-     << o.limits.watchdog_factor << '|' << o.recovery.trace_functions << '|'
-     << deadline_ms << '|' << language;
-  for (const std::string& name : blocklist) fp << '|' << name;
+     << o.limits.watchdog_factor << '|' << o.recovery.trace_functions << '|';
   return fp.str();
+}
+
+}  // namespace
+
+// Declared in server.h. Two requests whose fingerprints match would produce
+// byte-identical response bodies.
+std::string options_fingerprint(const Options& o, std::uint64_t deadline_ms,
+                                const std::vector<std::string>& blocklist,
+                                std::string_view language) {
+  std::string fp = options_fingerprint_head(o);
+  fp += std::to_string(deadline_ms);
+  fp += '|';
+  fp += language;
+  for (const std::string& name : blocklist) {
+    fp += '|';
+    fp += name;
+  }
+  return fp;
+}
+
+RequestHasher::RequestHasher(const Options& options,
+                             std::vector<std::string> blocklist)
+    : head_state_(fnv1a64(options_fingerprint_head(options), /*seed=*/0)),
+      blocklist_(std::move(blocklist)) {}
+
+SourceHashes RequestHasher::hash(std::string_view source,
+                                 std::uint64_t deadline_ms,
+                                 std::string_view language) const {
+  // The same bytes options_fingerprint appends after its head.
+  char digits[20];
+  const char* end =
+      std::to_chars(digits, digits + sizeof(digits), deadline_ms).ptr;
+  std::uint64_t opts = fnv1a64_extend(
+      head_state_,
+      std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  opts = fnv1a64_extend(opts, "|");
+  opts = fnv1a64_extend(opts, language);
+  for (const std::string& name : blocklist_) {
+    opts = fnv1a64_extend(opts, "|");
+    opts = fnv1a64_extend(opts, name);
+  }
+  return hash_source(source, opts);
 }
 
 int make_unix_listener(const std::string& path) {
@@ -375,7 +412,8 @@ struct Server::Impl {
     live_deadline_ms = cfg.default_deadline_ms;
     live_rate = cfg.admission_rate;
     live_burst = cfg.admission_burst;
-    live_blocklist = cfg.options.recovery.extra_blocklist;
+    live_hasher = std::make_shared<const RequestHasher>(
+        cfg.options, cfg.options.recovery.extra_blocklist);
   }
 
   ServerConfig cfg;
@@ -451,14 +489,18 @@ struct Server::Impl {
   std::unique_ptr<SharedResponseCache> cache;
   int journal_fd = -1;
   std::mutex quarantine_mu;
-  std::unordered_set<std::string> quarantine;  ///< 16-hex script hashes
+  std::unordered_set<std::uint64_t> quarantine;  ///< script hashes
   /// Hot-reloadable knobs (SIGHUP): guarded by reload_mu, read per request.
   std::mutex reload_mu;
   std::uint64_t live_deadline_ms = 0;
   double live_rate = 0.0;
   double live_burst = 0.0;
-  std::vector<std::string> live_blocklist;
+  /// Cache keying under the live blocklist (which it holds); replaced, never
+  /// mutated, so a request's snapshot is one shared_ptr copy.
+  std::shared_ptr<const RequestHasher> live_hasher;
   bool blocklist_overridden = false;
+  /// A shared-cache hit's payload; reused across requests (loop thread).
+  std::string hit_payload;
 
   std::atomic<bool> started{false};
   std::atomic<bool> stop_requested{false};
@@ -472,9 +514,12 @@ struct Server::Impl {
 
   std::jthread io_thread;
   std::jthread driver_thread;
+  /// The event-loop thread's id, stored by io_loop itself: reading
+  /// io_thread.get_id() raced with start()'s assignment of io_thread.
+  std::atomic<std::thread::id> loop_thread_id{};
 
   [[nodiscard]] bool on_loop_thread() const {
-    return std::this_thread::get_id() == io_thread.get_id();
+    return std::this_thread::get_id() == loop_thread_id.load();
   }
 
   // --- response path -------------------------------------------------------
@@ -507,13 +552,15 @@ struct Server::Impl {
     notify_loop(conn);
   }
 
-  /// Queues one response line toward a client. Never blocks: from the loop
-  /// thread the buffer is flushed opportunistically; from a worker the loop
-  /// is rung over the eventfd. A connection already holding
+  /// Queues one response line toward a client: `render(std::string&)`
+  /// appends the line, newline included, straight onto the connection's
+  /// output buffer (OutputBuffer::append_rendered). Never blocks: from the
+  /// loop thread the buffer is flushed opportunistically; from a worker the
+  /// loop is rung over the eventfd. A connection already holding
   /// outbuf_high_water_bytes of unread output is doomed instead — the
   /// slow-consumer path costs a bounded buffer, never a stalled thread.
-  void reply(const std::shared_ptr<Connection>& conn, std::string line) {
-    line.push_back('\n');
+  template <typename Render>
+  void enqueue(const std::shared_ptr<Connection>& conn, Render&& render) {
     bool over_cap = false;
     {
       std::lock_guard lk(conn->out_mu);
@@ -521,10 +568,12 @@ struct Server::Impl {
       if (conn->out.bytes() >= cfg.outbuf_high_water_bytes) {
         over_cap = true;
       } else {
-        if (conn->out.empty()) conn->write_progress_at = steady::now();
-        conn->out.append(line);
-        stats.outbuf_bytes.fetch_add(line.size(), std::memory_order_relaxed);
-        g_outbuf_bytes->add(static_cast<std::int64_t>(line.size()));
+        const std::size_t before = conn->out.bytes();
+        conn->out.append_rendered(render);
+        if (before == 0) conn->write_progress_at = steady::now();
+        const std::size_t added = conn->out.bytes() - before;
+        stats.outbuf_bytes.fetch_add(added, std::memory_order_relaxed);
+        g_outbuf_bytes->add(static_cast<std::int64_t>(added));
       }
     }
     if (over_cap) {
@@ -540,10 +589,17 @@ struct Server::Impl {
     }
   }
 
+  void reply(const std::shared_ptr<Connection>& conn, std::string_view line) {
+    enqueue(conn, [line](std::string& out) {
+      out += line;
+      out += '\n';
+    });
+  }
+
   // --- request path --------------------------------------------------------
 
   void handle_line(const std::shared_ptr<Connection>& conn,
-                   const std::string& line) {
+                   std::string_view line) {
     WireRequest wire;
     std::string error;
     if (!parse_request_line(line, wire, error)) {
@@ -613,25 +669,41 @@ struct Server::Impl {
     std::uint64_t deadline_default;
     double rate;
     double burst;
-    std::vector<std::string> blocklist;
+    std::shared_ptr<const RequestHasher> hasher;
     bool blocklist_over;
     {
       std::lock_guard lk(reload_mu);
       deadline_default = live_deadline_ms;
       rate = live_rate;
       burst = live_burst;
-      blocklist = live_blocklist;
+      hasher = live_hasher;
       blocklist_over = blocklist_overridden;
+    }
+
+    Request& request = wire.request;
+    if (request.deadline_ms == 0) request.deadline_ms = deadline_default;
+    // Shared response cache: requests with inline options or a trace ask
+    // (either flavor — a cached line has no span breakdown to serve) are not
+    // content-addressable here. One pass over the source yields the script
+    // hash (journal/quarantine identity) and, when cacheable, the cache key.
+    const bool cacheable = cache != nullptr && !request.trace &&
+                           !request.server_trace &&
+                           !request.options.has_value();
+    SourceHashes hashes;
+    if (cacheable) {
+      hashes = hasher->hash(request.source, request.deadline_ms,
+                            resolve_language(request.language, request.source));
+    } else {
+      hashes.script = fnv1a64(request.source, 0);
     }
 
     // Quarantine: a script hash that keeps killing workers is answered
     // terminally here, before it can reach an engine (or a journal) again.
-    const std::uint64_t script_hash = fnv1a64(wire.request.source, 0);
     if (!cfg.quarantine_path.empty()) {
       bool listed;
       {
         std::lock_guard lk(quarantine_mu);
-        listed = quarantine.contains(hash_hex(script_hash));
+        listed = quarantine.contains(hashes.script);
       }
       if (listed) {
         stats.quarantined_total.fetch_add(1, std::memory_order_relaxed);
@@ -639,12 +711,12 @@ struct Server::Impl {
         c_quarantined->add();
         c_failed->add();
         Response refusal;
-        refusal.id = wire.request.id;
-        refusal.result = wire.request.source;  // deobfuscation is total
+        refusal.id = request.id;
+        refusal.result = request.source;  // deobfuscation is total
         refusal.ok = false;
         refusal.failure = FailureKind::Quarantined;
         refusal.failure_detail =
-            "script hash " + hash_hex(script_hash) +
+            "script hash " + hash_hex(hashes.script) +
             " is quarantined after repeated worker crashes";
         refusal.report.failure = refusal.failure;
         refusal.report.failure_detail = refusal.failure_detail;
@@ -668,65 +740,58 @@ struct Server::Impl {
         c_overloaded->add();
         c_admission_rejected->add();
         reply(conn, render_overloaded_line(
-                        wire.request.id, "per-client rate limit exceeded",
+                        request.id, "per-client rate limit exceeded",
                         conn->bucket.retry_after_ms(rate, capacity, now),
                         request_id));
         return;
       }
     }
 
-    QueueItem item;
-    item.request = std::move(wire.request);
-    item.conn = conn;
-    item.script_hash = script_hash;
-    if (item.request.deadline_ms == 0) {
-      item.request.deadline_ms = deadline_default;
-    }
-
-    // Shared response cache: a hit is answered straight from the event
-    // loop — no queue slot, no engine, no journal entry. Requests with
-    // inline options or a trace ask (either flavor — a cached line has no
-    // span breakdown to serve) are not content-addressable here.
-    if (cache != nullptr && !item.request.trace &&
-        !item.request.server_trace && !item.request.options.has_value()) {
-      item.cacheable = true;
-      item.cache_key = make_cache_key(
-          item.request.source,
-          options_fingerprint(cfg.options, item.request.deadline_ms,
-                              blocklist,
-                              resolve_language(item.request.language,
-                                               item.request.source)));
+    // A hit is answered straight from the event loop — no queue slot, no
+    // engine, no journal entry: the verified cached line is spliced with
+    // this request's ids directly into the connection's output buffer.
+    double cache_seconds = 0.0;
+    if (cacheable) {
       const std::uint64_t t0 = telemetry::now_ns();
-      const std::uint64_t corrupt_before = cache->stats().corrupt;
-      std::string cached;
-      std::string line;
-      if (cache->lookup(item.cache_key, cached) &&
-          splice_cached_response_line(cached, item.request.id, line,
-                                      request_id)) {
+      const CacheLookup found = cache->lookup(hashes.key, hit_payload);
+      if (found == CacheLookup::Hit &&
+          hit_payload.starts_with(kCachedLinePrefix)) {
+        // Counted before the reply can reach the client.
         stats.cache_hits_total.fetch_add(1, std::memory_order_relaxed);
         stats.ok_total.fetch_add(1, std::memory_order_relaxed);
         c_cache_hit->add();
         c_ok->add();
         h_cache_hit_seconds->observe_ns(telemetry::now_ns() - t0);
-        reply(conn, std::move(line));
+        enqueue(conn, [&](std::string& out) {
+          append_cached_response_line(hit_payload, request.id, out,
+                                      request_id);
+          out += '\n';
+        });
         return;
       }
-      item.cache_seconds =
-          static_cast<double>(telemetry::now_ns() - t0) / 1e9;
+      cache_seconds = static_cast<double>(telemetry::now_ns() - t0) / 1e9;
       stats.cache_misses_total.fetch_add(1, std::memory_order_relaxed);
       c_cache_miss->add();
-      if (cache->stats().corrupt > corrupt_before) {
+      if (found == CacheLookup::Corrupt) {
         stats.cache_corrupt_total.fetch_add(1, std::memory_order_relaxed);
         c_cache_corrupt->add();
       }
     }
+
+    QueueItem item;
+    item.request = std::move(request);
+    item.conn = conn;
+    item.script_hash = hashes.script;
+    item.cache_key = hashes.key;
+    item.cacheable = cacheable;
+    item.cache_seconds = cache_seconds;
 
     // Hot-reloaded blocklist: applied by attaching the server's effective
     // options to requests that carry none (the request then runs on its own
     // pipeline configuration, so no engine rebuild is needed).
     if (blocklist_over && !item.request.options.has_value()) {
       item.request.options = cfg.options;
-      item.request.options->recovery.extra_blocklist = std::move(blocklist);
+      item.request.options->recovery.extra_blocklist = hasher->blocklist();
     }
 
     item.request_id = request_id;
@@ -1126,10 +1191,10 @@ struct Server::Impl {
         return;
       }
       conn->in.append(chunk, static_cast<std::size_t>(n));
-      std::string line;
+      std::string_view line;
       while (conn->in.next(line)) {
         conn->last_line_at = steady::now();
-        if (line.find_first_not_of(" \t") == std::string::npos) continue;
+        if (line.find_first_not_of(" \t") == std::string_view::npos) continue;
         handle_line(conn, line);
         if (conn->dead.load(std::memory_order_relaxed) ||
             !conns.contains(conn->fd)) {
@@ -1233,6 +1298,7 @@ struct Server::Impl {
   }
 
   void io_loop() {
+    loop_thread_id.store(std::this_thread::get_id());
     std::vector<epoll_event> events(128);
     steady::time_point next_scan = steady::now();
     steady::time_point finalize_deadline{};
@@ -1370,15 +1436,19 @@ struct Server::Impl {
   void load_quarantine() {
     std::ifstream in(cfg.quarantine_path);
     if (!in.is_open()) return;  // no file yet = nothing quarantined
-    std::unordered_set<std::string> fresh;
+    std::unordered_set<std::uint64_t> fresh;
     std::string line;
     while (std::getline(in, line)) {
       while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
         line.pop_back();
       }
+      // hash_hex's spelling only: 16 lowercase hex digits.
+      std::uint64_t hash = 0;
       if (line.size() == 16 &&
-          line.find_first_not_of("0123456789abcdef") == std::string::npos) {
-        fresh.insert(line);
+          line.find_first_not_of("0123456789abcdef") == std::string::npos &&
+          std::from_chars(line.data(), line.data() + 16, hash, 16).ec ==
+              std::errc()) {
+        fresh.insert(hash);
       }
     }
     std::lock_guard lk(quarantine_mu);
@@ -1420,7 +1490,10 @@ struct Server::Impl {
       for (const JsonValue& item : *v->as_array()) {
         if (item.is_string()) names.push_back(item.as_string());
       }
-      live_blocklist = std::move(names);
+      // Besides start-up, the one place a hasher is built: the new
+      // blocklist feeds every later request's cache key.
+      live_hasher = std::make_shared<const RequestHasher>(cfg.options,
+                                                          std::move(names));
       blocklist_overridden = true;
     }
   }

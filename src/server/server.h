@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "ideobf/options.h"
+#include "server/shared_cache.h"
 
 namespace ideobf::server {
 
@@ -240,10 +241,39 @@ class Server {
 /// response — the second half of the shared-cache key (make_cache_key).
 /// `language` must be the request's *resolved* front-end language ("" and
 /// "auto" already normalized), so identical source bytes submitted under
-/// different front-ends never alias to one cached response. Exposed for the
-/// server tests; the server itself is the only production caller.
+/// different front-ends never alias to one cached response. The server
+/// never builds this text per request (RequestHasher continues a hash of
+/// its fixed head instead); it is the reference the key tests compare
+/// against.
 [[nodiscard]] std::string options_fingerprint(
     const Options& options, std::uint64_t deadline_ms,
     const std::vector<std::string>& blocklist, std::string_view language);
+
+/// The serve path's request hashing under one configuration. Built where
+/// the configuration is loaded (start-up and each SIGHUP reload), it holds
+/// the FNV-1a state of options_fingerprint's fixed head — the fields of the
+/// server's Options — and the blocklist in force. hash() continues that
+/// state over a request's deadline, resolved language and the blocklist,
+/// then hashes the source in one pass (hash_source). For every input,
+/// `hash(source, deadline_ms, language)` has
+///   script == fnv1a64(source, 0) and
+///   key == make_cache_key(source, options_fingerprint(options,
+///              deadline_ms, blocklist(), language)).
+class RequestHasher {
+ public:
+  RequestHasher(const Options& options, std::vector<std::string> blocklist);
+
+  [[nodiscard]] SourceHashes hash(std::string_view source,
+                                  std::uint64_t deadline_ms,
+                                  std::string_view language) const;
+
+  [[nodiscard]] const std::vector<std::string>& blocklist() const {
+    return blocklist_;
+  }
+
+ private:
+  std::uint64_t head_state_ = 0;
+  std::vector<std::string> blocklist_;
+};
 
 }  // namespace ideobf::server

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "analysis/json_writer.h"
 #include "telemetry/log.h"
 
 namespace ideobf::server {
@@ -19,6 +18,8 @@ namespace ideobf::server {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x69646f62666b5631ull;  // "ideobfkV1"-ish
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 constexpr std::uint32_t kVersion = 1;
 /// Set-associativity of slot placement: a key may land in any of these many
 /// consecutive slots, with the oldest stamp evicted on store.
@@ -49,9 +50,9 @@ struct SlotHeader {
 std::uint64_t entry_checksum(const CacheKey& key, std::string_view payload) {
   std::uint64_t h = fnv1a64(payload, /*seed=*/0x9e3779b97f4a7c15ull);
   h ^= key.lo;
-  h *= 1099511628211ull;
+  h *= kFnvPrime;
   h ^= key.hi;
-  h *= 1099511628211ull;
+  h *= kFnvPrime;
   h ^= payload.size();
   return h;
 }
@@ -62,13 +63,16 @@ std::atomic_ref<std::uint64_t> atomic_u64(std::uint64_t& word) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view text, std::uint64_t seed) {
-  std::uint64_t h = 14695981039346656037ull ^ seed;
+std::uint64_t fnv1a64_extend(std::uint64_t state, std::string_view text) {
   for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+    state ^= static_cast<unsigned char>(c);
+    state *= kFnvPrime;
   }
-  return h;
+  return state;
+}
+
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t seed) {
+  return fnv1a64_extend(kFnvOffset ^ seed, text);
 }
 
 CacheKey make_cache_key(std::string_view source,
@@ -76,29 +80,47 @@ CacheKey make_cache_key(std::string_view source,
   const std::uint64_t opts = fnv1a64(options_fingerprint, /*seed=*/0);
   CacheKey key;
   key.lo = fnv1a64(source, opts);
-  key.hi = fnv1a64(source, ~opts * 1099511628211ull);
+  key.hi = fnv1a64(source, ~opts * kFnvPrime);
   // A zero key means "empty slot"; nudge the astronomically unlikely case.
   if (!key.valid()) key.lo = 1;
   return key;
 }
 
-bool splice_cached_response_line(std::string_view cached_line,
+SourceHashes hash_source(std::string_view source, std::uint64_t options_hash) {
+  // The three lanes are fnv1a64(source, 0) and make_cache_key's two halves;
+  // their multiply chains are independent, so they overlap in the pipeline
+  // and the pass costs about what one hash did.
+  std::uint64_t script = kFnvOffset;
+  std::uint64_t lo = kFnvOffset ^ options_hash;
+  std::uint64_t hi = kFnvOffset ^ (~options_hash * kFnvPrime);
+  for (const char c : source) {
+    const auto b = static_cast<unsigned char>(c);
+    script = (script ^ b) * kFnvPrime;
+    lo = (lo ^ b) * kFnvPrime;
+    hi = (hi ^ b) * kFnvPrime;
+  }
+  SourceHashes out;
+  out.script = script;
+  out.key.lo = lo;
+  out.key.hi = hi;
+  if (!out.key.valid()) out.key.lo = 1;  // as in make_cache_key
+  return out;
+}
+
+bool append_cached_response_line(std::string_view cached_line,
                                  std::string_view id, std::string& out,
                                  std::string_view request_id) {
-  // Cached lines are rendered with an empty correlation id, so they all
-  // start with the same 9 bytes; splicing swaps in the caller's id and
-  // marks the reply as served from cache.
-  constexpr std::string_view kPrefix = "{\"id\":\"\",";
-  if (cached_line.substr(0, kPrefix.size()) != kPrefix) return false;
-  out.clear();
+  // Splicing swaps the empty correlation id for the caller's and marks the
+  // reply as served from cache.
+  if (!cached_line.starts_with(kCachedLinePrefix)) return false;
   out += "{\"id\":";
-  out += json_quote(id);
+  telemetry::append_json_quoted(out, id);
   if (!request_id.empty()) {
     out += ",\"request_id\":";
-    out += json_quote(request_id);
+    telemetry::append_json_quoted(out, request_id);
   }
   out += ",\"cached\":true,";
-  out += cached_line.substr(kPrefix.size());
+  out += cached_line.substr(kCachedLinePrefix.size());
   return true;
 }
 
@@ -205,7 +227,8 @@ std::unique_ptr<SharedResponseCache> SharedResponseCache::open(
 
 SharedResponseCache::~SharedResponseCache() = default;
 
-bool SharedResponseCache::lookup(const CacheKey& key, std::string& payload) {
+CacheLookup SharedResponseCache::lookup(const CacheKey& key,
+                                        std::string& payload) {
   Impl& im = *impl_;
   const std::uint32_t base =
       static_cast<std::uint32_t>(key.lo % im.config.slot_count);
@@ -235,15 +258,15 @@ bool SharedResponseCache::lookup(const CacheKey& key, std::string& payload) {
       std::lock_guard<std::mutex> lock(im.stats_mu);
       im.stats.corrupt++;
       im.stats.misses++;
-      return false;
+      return CacheLookup::Corrupt;
     }
     std::lock_guard<std::mutex> lock(im.stats_mu);
     im.stats.hits++;
-    return true;
+    return CacheLookup::Hit;
   }
   std::lock_guard<std::mutex> lock(im.stats_mu);
   im.stats.misses++;
-  return false;
+  return CacheLookup::Miss;
 }
 
 bool SharedResponseCache::store(const CacheKey& key, std::string_view payload) {

@@ -43,21 +43,48 @@ struct CacheKey {
 /// FNV-1a over `text`, seeded so independent streams decorrelate.
 std::uint64_t fnv1a64(std::string_view text, std::uint64_t seed);
 
+/// Continues an FNV-1a state over more text: for any split of a text into
+/// `a + b`, fnv1a64(a + b, seed) == fnv1a64_extend(fnv1a64(a, seed), b).
+std::uint64_t fnv1a64_extend(std::uint64_t state, std::string_view text);
+
 /// The content address of a request: source hashed twice with independent
 /// seeds (128 bits against campaign-scale birthday collisions), both halves
 /// mixed with the options fingerprint so the same script under different
-/// limits/blocklists never aliases.
+/// limits/blocklists never aliases. This is the reference definition; the
+/// serve path computes the same key with hash_source.
 CacheKey make_cache_key(std::string_view source,
                         std::string_view options_fingerprint);
 
-/// Rewrites a cached response line (rendered with id = "", i.e. starting
-/// `{"id":"",`) for a specific request: the real id is spliced in, a
+/// What the serve path hashes a request's source into.
+struct SourceHashes {
+  std::uint64_t script = 0;  ///< journal/quarantine identity: fnv1a64(source, 0)
+  CacheKey key;              ///< shared-cache key
+};
+
+/// Both of a source's hashes from one pass over its bytes, three FNV-1a
+/// lanes side by side. With `options_hash` = fnv1a64(fingerprint, 0),
+/// `key` equals make_cache_key(source, fingerprint) bit for bit.
+SourceHashes hash_source(std::string_view source, std::uint64_t options_hash);
+
+/// How every cached response line starts: it is rendered with id = "".
+inline constexpr std::string_view kCachedLinePrefix = "{\"id\":\"\",";
+
+/// Appends a cached response line (starting with kCachedLinePrefix) to
+/// `out`, rewritten for a specific request: the real id is spliced in, a
 /// non-empty `request_id` (the server-assigned trace/log join key) is echoed
-/// right after it, and a `"cached":true` marker added. Returns false when
-/// `cached_line` does not have the expected prefix (treat as a cache miss).
-bool splice_cached_response_line(std::string_view cached_line,
+/// right after it, and a `"cached":true` marker added. Returns false,
+/// appending nothing, when `cached_line` does not have the prefix (treat as
+/// a cache miss).
+bool append_cached_response_line(std::string_view cached_line,
                                  std::string_view id, std::string& out,
                                  std::string_view request_id = {});
+
+/// What one SharedResponseCache::lookup found.
+enum class CacheLookup {
+  Miss,     ///< no entry under the key (or it changed mid-read)
+  Hit,      ///< checksum-verified entry; the payload is filled in
+  Corrupt,  ///< key matched, checksum did not: served as a miss
+};
 
 /// Process-local view of one shared cache region.
 class SharedResponseCache {
@@ -88,8 +115,9 @@ class SharedResponseCache {
   SharedResponseCache(const SharedResponseCache&) = delete;
   SharedResponseCache& operator=(const SharedResponseCache&) = delete;
 
-  /// True on a checksum-verified hit; `payload` receives the cached line.
-  bool lookup(const CacheKey& key, std::string& payload);
+  /// Hit on a checksum-verified entry, whose line `payload` receives.
+  /// Corrupt entries count in stats() as misses too.
+  CacheLookup lookup(const CacheKey& key, std::string& payload);
 
   /// Publishes `payload` under `key`. False when the payload does not fit a
   /// slot or every candidate slot is mid-write (callers just don't cache).

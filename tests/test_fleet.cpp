@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "frontends/registry.h"
 #include "ideobf/api.h"
 #include "ideobf/client.h"
 #include "server/admission.h"
@@ -35,13 +36,17 @@ using ideobf::FailureKind;
 using ideobf::Request;
 using ideobf::ServeClient;
 using ideobf::ServeReply;
+using ideobf::server::append_cached_response_line;
 using ideobf::server::CacheKey;
+using ideobf::server::CacheLookup;
 using ideobf::server::FairBoundedQueue;
 using ideobf::server::make_cache_key;
+using ideobf::server::options_fingerprint;
+using ideobf::server::RequestHasher;
 using ideobf::server::Server;
 using ideobf::server::ServerConfig;
 using ideobf::server::SharedResponseCache;
-using ideobf::server::splice_cached_response_line;
+using ideobf::server::SourceHashes;
 using ideobf::server::TokenBucket;
 
 namespace {
@@ -115,9 +120,9 @@ TEST(SharedCache, StoreLookupRoundTrip) {
   ASSERT_TRUE(key.valid());
 
   std::string out;
-  EXPECT_FALSE(cache->lookup(key, out));
+  EXPECT_EQ(cache->lookup(key, out), CacheLookup::Miss);
   EXPECT_TRUE(cache->store(key, "{\"id\":\"\",\"status\":\"ok\"}"));
-  ASSERT_TRUE(cache->lookup(key, out));
+  ASSERT_EQ(cache->lookup(key, out), CacheLookup::Hit);
   EXPECT_EQ(out, "{\"id\":\"\",\"status\":\"ok\"}");
 
   const auto stats = cache->stats();
@@ -139,7 +144,7 @@ TEST(SharedCache, SecondHandleOnSameFileSeesStores) {
   const CacheKey key = make_cache_key("shared entry", "fp");
   ASSERT_TRUE(writer->store(key, "payload-from-writer"));
   std::string out;
-  ASSERT_TRUE(reader->lookup(key, out));
+  ASSERT_EQ(reader->lookup(key, out), CacheLookup::Hit);
   EXPECT_EQ(out, "payload-from-writer");
 }
 
@@ -150,12 +155,12 @@ TEST(SharedCache, CorruptEntryDetectedAndServedAsMiss) {
   ASSERT_TRUE(cache->corrupt_entry(key));
 
   std::string out;
-  EXPECT_FALSE(cache->lookup(key, out));
+  EXPECT_EQ(cache->lookup(key, out), CacheLookup::Corrupt);
   EXPECT_EQ(cache->stats().corrupt, 1u);
 
   // The slot is reusable: a fresh store repairs it.
   ASSERT_TRUE(cache->store(key, "repaired"));
-  ASSERT_TRUE(cache->lookup(key, out));
+  ASSERT_EQ(cache->lookup(key, out), CacheLookup::Hit);
   EXPECT_EQ(out, "repaired");
 }
 
@@ -166,7 +171,7 @@ TEST(SharedCache, OversizedPayloadIsSkippedNotTruncated) {
   EXPECT_FALSE(cache->store(key, big));
   EXPECT_GE(cache->stats().store_skips, 1u);
   std::string out;
-  EXPECT_FALSE(cache->lookup(key, out));
+  EXPECT_EQ(cache->lookup(key, out), CacheLookup::Miss);
 }
 
 TEST(SharedCache, EvictionKeepsRecentEntriesReachable) {
@@ -181,7 +186,7 @@ TEST(SharedCache, EvictionKeepsRecentEntriesReachable) {
     EXPECT_TRUE(cache->store(last, last_payload));
   }
   std::string out;
-  ASSERT_TRUE(cache->lookup(last, out));
+  ASSERT_EQ(cache->lookup(last, out), CacheLookup::Hit);
   EXPECT_EQ(out, last_payload);
 }
 
@@ -200,18 +205,86 @@ TEST(SharedCache, RejectsGeometryMismatch) {
 TEST(SharedCache, SpliceRestoresIdAndMarksCached) {
   const std::string cached = "{\"id\":\"\",\"status\":\"ok\",\"result\":\"x\"}";
   std::string out;
-  ASSERT_TRUE(splice_cached_response_line(cached, "req-42", out));
+  ASSERT_TRUE(append_cached_response_line(cached, "req-42", out));
   EXPECT_EQ(out,
             "{\"id\":\"req-42\",\"cached\":true,\"status\":\"ok\","
             "\"result\":\"x\"}");
   // With a server-assigned request id the splice threads it in right after
   // the correlation id, so even cache hits stay joinable against traces.
-  ASSERT_TRUE(splice_cached_response_line(cached, "req-42", out, "w0-7"));
-  EXPECT_EQ(out,
+  std::string joined;
+  ASSERT_TRUE(append_cached_response_line(cached, "req-42", joined, "w0-7"));
+  EXPECT_EQ(joined,
             "{\"id\":\"req-42\",\"request_id\":\"w0-7\",\"cached\":true,"
             "\"status\":\"ok\",\"result\":\"x\"}");
-  // A payload without the empty-id prefix is refused (treated as a miss).
-  EXPECT_FALSE(splice_cached_response_line("{\"status\":\"ok\"}", "id", out));
+  // A payload without the empty-id prefix is refused (treated as a miss)
+  // and appends nothing.
+  std::string refused = "kept";
+  EXPECT_FALSE(
+      append_cached_response_line("{\"status\":\"ok\"}", "id", refused));
+  EXPECT_EQ(refused, "kept");
+}
+
+// ---------------------------------------------------------------------------
+// One-pass request hashing (RequestHasher) against the reference key
+// ---------------------------------------------------------------------------
+
+/// Every byte value, repeated to 64 KiB: the largest source the golden grid
+/// hashes.
+std::string every_byte_source() {
+  std::string out(64u << 10, '\0');
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<char>((i * 131u + 7u) & 0xFFu);
+  }
+  return out;
+}
+
+void expect_matches_reference(const RequestHasher& hasher,
+                              const ideobf::Options& options,
+                              const std::string& source,
+                              std::uint64_t deadline_ms,
+                              std::string_view language) {
+  const std::string_view resolved =
+      ideobf::resolve_language(language, source);
+  const SourceHashes got = hasher.hash(source, deadline_ms, resolved);
+  const CacheKey want = make_cache_key(
+      source, options_fingerprint(options, deadline_ms, hasher.blocklist(),
+                                  resolved));
+  EXPECT_EQ(got.script, ideobf::server::fnv1a64(source, 0));
+  EXPECT_EQ(got.key.lo, want.lo);
+  EXPECT_EQ(got.key.hi, want.hi);
+}
+
+TEST(SharedCacheKey, OnePassMatchesReference) {
+  const std::vector<std::string> sources = {
+      "", "x", "Write-Host 'h\xC3\xA9llo \xE6\x97\xA5\xE6\x9C\xAC \xF0\x9F\x99\x82'",
+      every_byte_source()};
+  // A request's own deadline, a server default, and none.
+  const std::vector<std::uint64_t> deadlines = {2500, 1000, 0};
+  const std::vector<std::string> languages = {"", "auto", "javascript"};
+  const std::vector<std::vector<std::string>> blocklists = {
+      {}, {"Start-Sleep", "Invoke-WebRequest"}};
+  ideobf::Options tuned;
+  tuned.rename = false;
+  tuned.limits.deadline_seconds = 2.5;
+  tuned.limits.watchdog_factor = 1.5;
+  tuned.recovery.trace_functions = true;
+  for (const ideobf::Options& options : {ideobf::Options{}, tuned}) {
+    for (const auto& blocklist : blocklists) {
+      const RequestHasher hasher(options, blocklist);
+      for (const std::string& source : sources) {
+        for (const std::uint64_t deadline_ms : deadlines) {
+          for (const std::string& language : languages) {
+            SCOPED_TRACE("source bytes " + std::to_string(source.size()) +
+                         ", deadline " + std::to_string(deadline_ms) +
+                         ", language '" + language + "', blocklist " +
+                         std::to_string(blocklist.size()));
+            expect_matches_reference(hasher, options, source, deadline_ms,
+                                     language);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -494,6 +567,84 @@ TEST(FleetServer, SighupReloadOfDefaultDeadlineToZeroLiftsIt) {
   EXPECT_EQ(after.status, "ok");
   EXPECT_EQ(after.response.report.degradation_rung, 0);
   EXPECT_EQ(after.response.failure, FailureKind::None);
+  server.stop();
+  ::unlink(config.c_str());
+}
+
+TEST(SharedCacheKey, ServedKeysMatchReferenceAcrossSighupReload) {
+  // The keys a live server stores under must be the reference keys, with
+  // the deadline taken from the request or from the server default, and
+  // with the blocklist a SIGHUP reload installs.
+  const std::string sock = temp_path("keys.sock");
+  const std::string cache_path = temp_path("cache.bin");
+  const std::string qpath = temp_path("quarantine");
+  const std::string config = temp_path("reload.json");
+  { std::ofstream(config) << "{}\n"; }
+
+  ServerConfig cfg = base_config(sock);
+  cfg.cache_path = cache_path;
+  cfg.quarantine_path = qpath;
+  cfg.reload_config_path = config;
+  cfg.default_deadline_ms = 60000;
+  const ideobf::Options options = cfg.options;
+  const std::uint32_t slots = cfg.cache_slots;
+  const std::uint32_t slot_bytes = cfg.cache_slot_bytes;
+  Server server(std::move(cfg));
+  server.start();
+  server.install_signal_handlers();
+  auto reader = open_cache(cache_path, slots, slot_bytes);
+  ASSERT_NE(reader, nullptr);
+
+  struct Case {
+    std::string source;
+    std::uint64_t deadline_ms;  // 0: the server default applies
+    std::string language;
+  };
+  const std::vector<Case> cases = {
+      {"Write-Host ('served' + 'key')", 0, ""},
+      {"Write-Host ('served' + 'key')", 45000, ""},
+      {"Write-Host ('auto' + 'key')", 0, "auto"},
+      {"var s = 'java' + 'script';", 45000, "javascript"},
+  };
+  ServeClient client = ServeClient::connect_unix(sock);
+  int seq = 0;
+  const auto expect_stored_under_reference =
+      [&](const Case& c, const std::vector<std::string>& blocklist) {
+        Request request = deobf_request(c.source, "k" + std::to_string(seq++));
+        request.deadline_ms = c.deadline_ms;
+        request.language = c.language;
+        const ServeReply reply = client.call(request);
+        ASSERT_EQ(reply.status, "ok");
+        EXPECT_FALSE(reply.cached);
+        const std::uint64_t effective =
+            c.deadline_ms != 0 ? c.deadline_ms : 60000;
+        const CacheKey want = make_cache_key(
+            c.source,
+            options_fingerprint(options, effective, blocklist,
+                                ideobf::resolve_language(c.language, c.source)));
+        std::string payload;
+        EXPECT_EQ(reader->lookup(want, payload), CacheLookup::Hit)
+            << c.source << " / " << c.language << " / " << effective;
+        EXPECT_TRUE(payload.starts_with("{\"id\":\"\","));
+      };
+  for (const Case& c : cases) expect_stored_under_reference(c, {});
+
+  const std::vector<std::string> reloaded = {"Start-Sleep",
+                                             "Invoke-WebRequest"};
+  const std::string killer = "Write-Host 'quarantined by hash'";
+  { std::ofstream(config) << R"({"extra_blocklist": ["Start-Sleep", "Invoke-WebRequest"]})" "\n"; }
+  { std::ofstream(qpath) << script_hash_hex(killer) << "\n"; }
+  ::raise(SIGHUP);
+  for (int i = 0; i < 200 && server.stats().reloads_total == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(server.stats().reloads_total, 1u);
+
+  // The reloaded blocklist is part of every key now: the same requests miss
+  // and are stored under the new reference keys.
+  for (const Case& c : cases) expect_stored_under_reference(c, reloaded);
+  const ServeReply refused = client.call(deobf_request(killer, "killer"));
+  EXPECT_EQ(refused.response.failure, FailureKind::Quarantined);
   server.stop();
   ::unlink(config.c_str());
 }

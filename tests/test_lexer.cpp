@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
+
 #include "pslang/alias_table.h"
 #include "pslang/lexer.h"
 
@@ -320,6 +323,32 @@ TEST(AliasTable, AliasForRoundTrip) {
   auto back = AliasTable::standard().resolve(*alias);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, "Invoke-Expression");
+}
+
+TEST(AliasTable, AliasForMatchesTableScanForEveryCmdlet) {
+  // alias_for is one map lookup; the scan it replaced picked the shortest
+  // alias of a cmdlet, the first in table order among equals.
+  const AliasTable& table = AliasTable::standard();
+  const auto scan = [&](std::string_view cmdlet) {
+    std::optional<std::string> best;
+    for (const auto& [alias, canonical] : table.entries()) {
+      if (iequals(canonical, cmdlet) &&
+          (!best || alias.size() < best->size())) {
+        best = alias;
+      }
+    }
+    return best;
+  };
+  for (const auto& [alias, cmdlet] : table.entries()) {
+    std::string upper = cmdlet;
+    for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    for (const std::string& spelling : {cmdlet, to_lower(cmdlet), upper}) {
+      EXPECT_EQ(table.alias_for(spelling), scan(spelling)) << spelling;
+    }
+  }
+  EXPECT_EQ(table.alias_for("Remove-Item"), "ri");  // ri, rm, rd: first wins
+  EXPECT_EQ(table.alias_for("Write-Host"), std::nullopt);
+  EXPECT_EQ(table.alias_for(""), std::nullopt);
 }
 
 TEST(AliasTable, KnowsCmdlets) {

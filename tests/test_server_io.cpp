@@ -122,10 +122,10 @@ TEST(ServerIoUnits, LineAssemblerReassemblesByteAtATime) {
   LineAssembler in(1024);
   const std::string wire = "{\"op\":\"ping\"}\r\nsecond line\n";
   std::vector<std::string> lines;
-  std::string line;
+  std::string_view line;
   for (char c : wire) {
     in.append(&c, 1);
-    while (in.next(line)) lines.push_back(line);
+    while (in.next(line)) lines.emplace_back(line);
   }
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "{\"op\":\"ping\"}");  // '\r' stripped
@@ -137,7 +137,7 @@ TEST(ServerIoUnits, LineAssemblerReassemblesByteAtATime) {
 TEST(ServerIoUnits, LineAssemblerHandlesBatchesAndPartials) {
   LineAssembler in(1024);
   in.append("a\nb\nhalf", 8);
-  std::string line;
+  std::string_view line;
   ASSERT_TRUE(in.next(line));
   EXPECT_EQ(line, "a");
   ASSERT_TRUE(in.next(line));
@@ -153,7 +153,7 @@ TEST(ServerIoUnits, LineAssemblerLatchesOverflow) {
   LineAssembler in(8);
   in.append("0123456789", 10);  // no newline, past the cap
   EXPECT_TRUE(in.overflowed());
-  std::string line;
+  std::string_view line;
   EXPECT_FALSE(in.next(line));
   in.append("\n", 1);  // too late: the connection is doomed, stay latched
   EXPECT_TRUE(in.overflowed());
@@ -162,7 +162,7 @@ TEST(ServerIoUnits, LineAssemblerLatchesOverflow) {
 
 TEST(ServerIoUnits, LineAssemblerCompactsConsumedPrefix) {
   LineAssembler in(1u << 20);
-  std::string line;
+  std::string_view line;
   // Enough consumed lines to trip the compaction path several times; the
   // assembler must stay correct across the internal erases.
   for (int round = 0; round < 2000; ++round) {
