@@ -81,11 +81,7 @@ void LineAssembler::append(const char* data, std::size_t n) {
   if (overflowed_) return;  // connection is doomed; stop buffering
   // Compact once the consumed prefix dominates, so a long-lived chatty
   // connection does not grow its buffer with dead bytes.
-  if (start_ == buf_.size()) {
-    buf_.clear();
-    start_ = 0;
-    scan_ = 0;
-  } else if (start_ > 4096 && start_ * 2 >= buf_.size()) {
+  if (start_ > 4096 && start_ * 2 >= buf_.size()) {
     buf_.erase(0, start_);
     scan_ -= start_;
     start_ = 0;
